@@ -11,94 +11,3 @@ validates the closed forms end to end.
 """
 
 __version__ = "0.1.0"
-
-from .channel import (
-    DeviceModel,
-    FixedChannel,
-    LinkRealization,
-    RayleighFadingChannel,
-    RfChannelSpec,
-    Role,
-    make_link,
-    residual_distance,
-)
-from .detection import (
-    AuthDecision,
-    DetectorConfig,
-    analytic_pfa,
-    analytic_pmd,
-    authenticate,
-    design_threshold,
-)
-from .errors import ConfigurationError, ParameterError, ShapeError
-from .estimation import FingerprintEstimate, ls_estimate
-from .experiments import (
-    ExperimentConfig,
-    RocCurve,
-    RocKind,
-    RocPoint,
-    canonical_scenario,
-    roc_analytic,
-    roc_empirical,
-    sweep_attacker,
-)
-from .rng import RngHandle, sample_complex_normal, sample_complex_normal_array
-from .signaling import (
-    LinkNoiseParams,
-    SignalFrame,
-    TxParams,
-    exchange,
-    exchange_expanded,
-)
-from .special import (
-    RiceParams,
-    bessel_i0,
-    bessel_i0_scaled,
-    marcum_q1,
-    rayleigh_tail,
-    rice_cdf,
-)
-
-__all__ = [
-    "AuthDecision",
-    "ConfigurationError",
-    "DetectorConfig",
-    "DeviceModel",
-    "ExperimentConfig",
-    "FingerprintEstimate",
-    "FixedChannel",
-    "LinkNoiseParams",
-    "LinkRealization",
-    "ParameterError",
-    "RayleighFadingChannel",
-    "RfChannelSpec",
-    "RiceParams",
-    "RngHandle",
-    "RocCurve",
-    "RocKind",
-    "RocPoint",
-    "Role",
-    "ShapeError",
-    "SignalFrame",
-    "TxParams",
-    "analytic_pfa",
-    "analytic_pmd",
-    "authenticate",
-    "bessel_i0",
-    "bessel_i0_scaled",
-    "canonical_scenario",
-    "design_threshold",
-    "exchange",
-    "exchange_expanded",
-    "ls_estimate",
-    "make_link",
-    "marcum_q1",
-    "rayleigh_tail",
-    "residual_distance",
-    "rice_cdf",
-    "roc_analytic",
-    "roc_empirical",
-    "sample_complex_normal",
-    "sample_complex_normal_array",
-    "sweep_attacker",
-]

@@ -26,11 +26,10 @@ class Role(enum.Enum):
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """One transceiver: Tx/Rx chain gains and self-interference power."""
+    """One transceiver: Tx/Rx chain gains."""
 
     h_tx: complex
     h_rx: complex
-    si_power: float = 0.0
     role: Role = Role.READER
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class DeviceModel:
             if h == 0:
                 raise ParameterError(f"{name} must be nonzero (degenerate link)")
             object.__setattr__(self, name, h)
-        if not math.isfinite(self.si_power) or self.si_power < 0.0:
-            raise ParameterError(f"si_power must be >= 0, got {self.si_power!r}")
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,18 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .channel import FixedChannel, make_link
 from .config import ConfigDocument, device_from, load_config, signaling_params
-from .detection import DetectorConfig, authenticate
 from .errors import ConfigurationError, ParameterError, ShapeError
-from .estimation import estimation_error_variance, ls_estimate
 from .experiments import (
     ExperimentConfig,
     RocCurve,
+    build_scenario,
     roc_analytic,
     roc_empirical,
+    run_trial,
     sweep_attacker,
 )
 from .rng import RngHandle
-from .signaling import SignalFrame, exchange
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -155,11 +153,29 @@ def _cmd_roc(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    mu_values = [float(v) for v in args.mu_list.split(",") if v.strip()]
+def _sweep_file(mu: float) -> str:
+    return f"roc_mu_{mu:.4f}.csv"
+
+
+def _mu_values(mu_list: str) -> list[float]:
+    """--mu-list as floats whose 4-decimal file names are all distinct."""
+    try:
+        mu_values = [float(v) for v in mu_list.split(",") if v.strip()]
+    except ValueError:
+        raise _UsageError(
+            f"sweep: --mu-list must be a comma list of numbers, got {mu_list!r}") from None
     if not mu_values:
         raise _UsageError("sweep: --mu-list must contain at least one value")
+    names = [_sweep_file(mu) for mu in mu_values]
+    if len(set(names)) != len(names):
+        raise _UsageError(
+            f"sweep: --mu-list values {mu_list!r} collide at 4 decimals in the file names")
+    return mu_values
+
+
+def _cmd_sweep(args) -> int:
+    started = time.perf_counter()
+    mu_values = _mu_values(args.mu_list)
     doc = load_config(args.config)
     cfg = _experiment_from(doc, args)
     out_dir = _prepare_out_dir(args.out)
@@ -167,7 +183,7 @@ def _cmd_sweep(args) -> int:
     curves = sweep_attacker(cfg, mu_values)
     emitted = []
     for mu, curve in zip(mu_values, curves):
-        name = f"roc_mu_{mu:.4f}.csv"
+        name = _sweep_file(mu)
         _write_text(out_dir / name, _roc_csv(curve))
         emitted.append(name)
     _write_manifest(out_dir, "sweep", doc, cfg.digest(), emitted, started, cfg.seed)
@@ -197,26 +213,19 @@ def _cmd_auth(args) -> int:
     target_pfa = doc.get_float("detector", "target_pfa")
     tx, noise = signaling_params(doc)
 
-    reader = device_from(doc, "reader")
+    # the responder takes the attacker's seat; a legitimate responder sits
+    # there at fingerprint distance zero, so no mtag keys are needed
     ltag = device_from(doc, "ltag")
-    tag = ltag if responder == "ltag" else device_from(doc, "mtag")
-
-    # authentication episode isolates the device fingerprints: propagation
-    # is held at unit gain, enrollment uses the legitimate link's residual
-    rng = RngHandle(seed)
-    unit = FixedChannel(1 + 0j)
-    legit_link = make_link(reader, ltag, unit, unit, rng)
-    responder_link = legit_link if responder == "ltag" else make_link(reader, tag, unit, unit, rng)
-
-    challenge = SignalFrame.all_ones(n_train)
-    response = exchange(challenge, responder_link, tx, noise, rng)
-    estimate = ls_estimate(challenge, response, tx, noise)
-    detector = DetectorConfig(
-        ground_truth=legit_link.h_res,
-        est_variance=estimation_error_variance(tx, noise, challenge.energy),
-        target_pfa=target_pfa,
+    scenario = build_scenario(
+        reader=device_from(doc, "reader"),
+        legit_tag=ltag,
+        malicious_tag=ltag if responder == "ltag" else device_from(doc, "mtag"),
+        tx=tx,
+        noise=noise,
+        n_train=n_train,
     )
-    decision = authenticate(estimate, detector)
+    estimate, decision = run_trial(scenario, scenario.attack_link, target_pfa,
+                                   RngHandle(seed))
 
     verdict = "ACCEPT" if decision.accepted else "REJECT"
     if args.json_summary:
@@ -243,11 +252,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
+    def add_common(p, needs_config=True, monte_carlo=True):
         if needs_config:
             p.add_argument("--config", required=True, help="path to the key-value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--trials", type=int, default=None, help="override the Monte Carlo budget")
+        if monte_carlo:
+            p.add_argument("--trials", type=int, default=None,
+                           help="override the Monte Carlo budget")
 
     p_roc = sub.add_parser("roc", help="analytic + empirical ROC curves to CSV")
     add_common(p_roc)
@@ -268,7 +279,7 @@ def build_parser() -> _Parser:
     p_val.set_defaults(func=_cmd_validate)
 
     p_auth = sub.add_parser("auth", help="one authentication episode from a scenario config")
-    add_common(p_auth)
+    add_common(p_auth, monte_carlo=False)
     p_auth.add_argument("--json-summary", action="store_true", help="machine-readable result")
     p_auth.set_defaults(func=_cmd_auth)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .channel import DeviceModel, Role
 from .errors import ConfigurationError
+from .experiments import checked_pfa_grid
 from .signaling import LinkNoiseParams, TxParams
 
 KNOWN_KEYS: dict[str, set[str]] = {
@@ -30,7 +31,7 @@ KNOWN_KEYS: dict[str, set[str]] = {
     "device": {
         f"{role}_{attr}"
         for role in ("reader", "ltag", "mtag")
-        for attr in ("h_tx", "h_rx", "si_power")
+        for attr in ("h_tx", "h_rx")
     },
 }
 
@@ -116,14 +117,10 @@ class ConfigDocument:
                 values = [float(v) for v in text.split(",") if v.strip()]
             except ValueError:
                 raise self.error(section, key, f"not a comma list of numbers: {text!r}") from None
-        if not values:
-            raise self.error(section, key, "grid is empty")
-        for v in values:
-            if not (0.0 < v < 1.0):
-                raise self.error(section, key, f"values must lie strictly in (0, 1), got {v!r}")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise self.error(section, key, "values must be strictly increasing")
-        return tuple(values)
+        try:
+            return checked_pfa_grid(values)
+        except ConfigurationError as exc:
+            raise self.error(section, key, str(exc)) from None
 
 
 def load_config(path: str | Path) -> ConfigDocument:
@@ -166,10 +163,8 @@ def signaling_params(doc: ConfigDocument) -> tuple[TxParams, LinkNoiseParams]:
 
 
 def device_from(doc: ConfigDocument, role_name: str) -> DeviceModel:
-    si_key = f"{role_name}_si_power"
     return DeviceModel(
         h_tx=doc.get_complex("device", f"{role_name}_h_tx"),
         h_rx=doc.get_complex("device", f"{role_name}_h_rx"),
-        si_power=doc.get_float("device", si_key) if doc.has("device", si_key) else 0.0,
         role=_ROLE_BY_NAME[role_name],
     )

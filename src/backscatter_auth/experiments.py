@@ -39,7 +39,7 @@ from .detection import (
     fingerprint_distance,
 )
 from .errors import ConfigurationError, ParameterError
-from .estimation import effective_training, ls_estimate
+from .estimation import effective_training, estimation_error_variance, ls_estimate
 from .rng import RngHandle, sample_complex_normal_array
 from .signaling import LinkNoiseParams, SignalFrame, TxParams, exchange, response_gain
 
@@ -47,6 +47,20 @@ SHARD_TRIALS = 16384
 THREADS_ENV_VAR = "BACKSCATTER_AUTH_THREADS"
 
 _H0, _H1 = 0, 1
+
+
+def checked_pfa_grid(values) -> tuple[float, ...]:
+    """The false-alarm grid as floats: nonempty, inside (0, 1), strictly
+    increasing."""
+    grid = tuple(float(p) for p in values)
+    if not grid:
+        raise ConfigurationError("pfa_grid must be nonempty")
+    for p in grid:
+        if not (0.0 < p < 1.0):
+            raise ConfigurationError(f"pfa_grid values must lie strictly in (0, 1), got {p!r}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigurationError("pfa_grid must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -72,15 +86,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_train", int(self.n_train))
         if not math.isfinite(self.mu_mag) or self.mu_mag < 0.0:
             raise ConfigurationError(f"mu_mag must be >= 0, got {self.mu_mag!r}")
-        grid = tuple(float(p) for p in self.pfa_grid)
-        if not grid:
-            raise ConfigurationError("pfa_grid must be nonempty")
-        for p in grid:
-            if not (0.0 < p < 1.0):
-                raise ConfigurationError(f"pfa_grid values must lie in (0, 1), got {p!r}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigurationError("pfa_grid must be strictly increasing")
-        object.__setattr__(self, "pfa_grid", grid)
+        object.__setattr__(self, "pfa_grid", checked_pfa_grid(self.pfa_grid))
         if int(self.trials) < 0:
             raise ConfigurationError(f"trials must be >= 0, got {self.trials!r}")
         object.__setattr__(self, "trials", int(self.trials))
@@ -188,31 +194,40 @@ class Scenario:
         return self.legit_link if hypothesis == _H0 else self.attack_link
 
 
-def canonical_scenario(sinr_db: float, n_train: int, mu_mag: float) -> Scenario:
-    """Unit-power, unit-noise scenario hitting the requested SINR, with the
-    malicious tag's transmit chain offset so the residual distance is mu_mag."""
-    eta = math.sqrt(10.0 ** (sinr_db / 10.0))
-    tx = TxParams(p_r=1.0, eta=eta)
-    noise = LinkNoiseParams(sigma2_r=0.5, sigma2_si_r=0.25, sigma2_si_t=0.25)
-    reader = DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j, role=Role.READER)
-    ltag = DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j, role=Role.LEGIT_TAG)
-    # independent transmit chain, never derived from the legitimate tag's
-    mtag = DeviceModel(h_tx=(1.0 + mu_mag) + 0j, h_rx=1 + 0j, role=Role.MALICIOUS_TAG)
+def build_scenario(reader: DeviceModel, legit_tag: DeviceModel,
+                   malicious_tag: DeviceModel, tx: TxParams,
+                   noise: LinkNoiseParams, n_train: int) -> Scenario:
+    """Link both tags to the reader over unit fixed propagation, so the
+    residuals carry only the device fingerprints; the estimation-error
+    variance is that of the unit-modulus challenge of length n_train."""
     rng = RngHandle(0)  # fixed channels: realization ignores the stream
-    fixed = FixedChannel(1 + 0j)
-    legit_link = make_link(reader, ltag, fixed, fixed, rng)
-    attack_link = make_link(reader, mtag, fixed, fixed, rng)
-    est_variance = noise.total_variance / (tx.eta**2 * tx.p_r * n_train)
+    unit = FixedChannel(1 + 0j)
     return Scenario(
         reader=reader,
-        legit_tag=ltag,
-        malicious_tag=mtag,
-        legit_link=legit_link,
-        attack_link=attack_link,
+        legit_tag=legit_tag,
+        malicious_tag=malicious_tag,
+        legit_link=make_link(reader, legit_tag, unit, unit, rng),
+        attack_link=make_link(reader, malicious_tag, unit, unit, rng),
         tx=tx,
         noise=noise,
         n_train=int(n_train),
-        est_variance=est_variance,
+        est_variance=estimation_error_variance(
+            tx, noise, SignalFrame.all_ones(n_train).energy),
+    )
+
+
+def canonical_scenario(sinr_db: float, n_train: int, mu_mag: float) -> Scenario:
+    """Unit-power, unit-noise scenario hitting the requested SINR, with the
+    malicious tag's transmit chain offset so the residual distance is mu_mag."""
+    return build_scenario(
+        reader=DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j, role=Role.READER),
+        legit_tag=DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j, role=Role.LEGIT_TAG),
+        # independent transmit chain, never derived from the legitimate tag's
+        malicious_tag=DeviceModel(h_tx=(1.0 + mu_mag) + 0j, h_rx=1 + 0j,
+                                  role=Role.MALICIOUS_TAG),
+        tx=TxParams(p_r=1.0, eta=math.sqrt(10.0 ** (sinr_db / 10.0))),
+        noise=LinkNoiseParams(sigma2_r=0.5, sigma2_si_r=0.25, sigma2_si_t=0.25),
+        n_train=n_train,
     )
 
 
@@ -355,11 +370,9 @@ def roc_empirical(config: ExperimentConfig) -> RocCurve:
 
 
 def sweep_attacker(base: ExperimentConfig, mu_grid) -> list[RocCurve]:
-    """Analytic ROC curves over attacker fingerprint distances, SINR held."""
+    """Analytic ROC curves over attacker fingerprint distances, SINR held;
+    each distance is checked as the config's mu_mag."""
     mu_values = list(mu_grid)
     if not mu_values:
         raise ParameterError("mu_grid must be nonempty")
-    for mu in mu_values:
-        if not math.isfinite(mu) or mu < 0.0:
-            raise ParameterError(f"mu values must be >= 0, got {mu!r}")
     return [roc_analytic(replace(base, mu_mag=float(mu))) for mu in mu_values]

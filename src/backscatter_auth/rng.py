@@ -21,7 +21,6 @@ each worker its own ``spawn``.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -97,14 +96,3 @@ def sample_complex_normal_array(
 def _check_variance(variance: float) -> None:
     if not math.isfinite(variance) or variance < 0.0:
         raise ParameterError(f"variance must be finite and >= 0, got {variance!r}")
-
-
-def magnitude(z: complex) -> float:
-    """|z|, guarding against non-finite components leaking into detection math."""
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ParameterError(f"non-finite complex value: {z!r}")
-    return abs(z)
-
-
-def is_finite_complex(z: complex) -> bool:
-    return cmath.isfinite(complex(z))

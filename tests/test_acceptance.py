@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (run with `pytest -s` to see them all).
 Monte Carlo budgets are 1e5 trials per operating point with pinned seeds;
-analytic-vs-empirical tolerances are 4 binomial standard errors.
+analytic-vs-empirical tolerances are 4 binomial standard errors.  Criteria
+1-5 run the same checks as `backscatter-auth validate`, at these budgets.
 """
 
 import math
@@ -18,10 +19,8 @@ from backscatter_auth.experiments import (
     ExperimentConfig,
     canonical_scenario,
     empirical_rejection_counts,
-    empirical_rejection_rates,
     roc_analytic,
     roc_empirical,
-    simulate_estimates,
     sweep_attacker,
 )
 from backscatter_auth.rng import RngHandle
@@ -29,7 +28,11 @@ from backscatter_auth.signaling import LinkNoiseParams, SignalFrame, exchange
 from backscatter_auth.special import marcum_q1
 from backscatter_auth.validation import (
     check_consolidation_equivalence,
-    marcum_q1_oracle,
+    check_estimator_statistics,
+    check_false_alarm_grid,
+    check_marcum_vs_quadrature,
+    check_missed_detection_grid,
+    check_scale_convention_mutation,
 )
 
 TRIALS = 100_000
@@ -43,89 +46,45 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_1_false_alarm_closed_form():
-    pfa_grid = (0.01, 0.05, 0.1, 0.3)
-    worst = 0.0
-    for sinr_db in (0.0, 5.0, 10.0):
-        cfg = ExperimentConfig(sinr_db=sinr_db, n_train=8, mu_mag=1.0,
-                               pfa_grid=pfa_grid, trials=TRIALS, seed=11_001)
-        rates = empirical_rejection_rates(cfg, hypothesis="h0")
-        for target, rate in zip(pfa_grid, rates):
-            stderr = math.sqrt(target * (1.0 - target) / TRIALS)
-            worst = max(worst, abs(rate - target) / stderr)
-    _report(1, "false-alarm closed form", worst <= 4.0,
-            f"worst deviation {worst:.2f} stderr over 12 cells, limit 4")
+    result = check_false_alarm_grid(trials=TRIALS, seed=11_001)
+    _report(1, "false-alarm closed form", result.passed, result.line())
 
 
 def test_criterion_2_missed_detection_closed_form():
-    target_pfa = 0.1
-    worst = 0.0
-    worst_mutated = 0.0
-    for mu in (0.25, 0.5, 1.0, 2.0):
-        cfg = ExperimentConfig(sinr_db=5.0, n_train=1, mu_mag=mu,
-                               pfa_grid=(target_pfa,), trials=TRIALS, seed=11_002)
-        accept_rate = 1.0 - empirical_rejection_rates(cfg, hypothesis="h1")[0]
-        v = cfg.est_variance
-        delta = design_threshold(target_pfa, v)
-
-        s = math.sqrt(v / 2.0)
-        pmd = 1.0 - marcum_q1(mu / s, delta / s)
-        stderr = math.sqrt(max(pmd * (1.0 - pmd), 1e-12) / TRIALS)
-        worst = max(worst, abs(accept_rate - pmd) / stderr)
-
-        # the literal reading (half-variance used directly as the scale)
-        # must be decisively rejected by the same data
-        s_bad = v / 2.0
-        pmd_bad = 1.0 - marcum_q1(mu / s_bad, delta / s_bad)
-        stderr_bad = math.sqrt(max(pmd_bad * (1.0 - pmd_bad), 1e-12) / TRIALS)
-        worst_mutated = max(worst_mutated, abs(accept_rate - pmd_bad) / stderr_bad)
-
-    ok = worst <= 4.0 and worst_mutated > 4.0
-    _report(2, "missed-detection closed form", ok,
-            f"worst deviation {worst:.2f} stderr (limit 4); "
-            f"mutated scale deviates {worst_mutated:.0f} stderr (must exceed 4)")
+    fit = check_missed_detection_grid(trials=TRIALS, seed=11_002)
+    # the literal reading (half-variance used directly as the scale) must be
+    # decisively rejected by the same data
+    mutation = check_scale_convention_mutation(trials=TRIALS, seed=11_002)
+    _report(2, "missed-detection closed form", fit.passed and mutation.passed,
+            f"{fit.line()}; {mutation.line()}")
 
 
 def test_criterion_3_marcum_oracle_equivalence():
+    result = check_marcum_vs_quadrature(step=0.25)
+    # the check holds the grid to 1e-10; the axis identities
+    # Q1(0, b) = exp(-b^2/2) and Q1(a, 0) = 1 are held tighter here
     grid = np.arange(0.0, 10.0 + 0.125, 0.25)
-    worst = 0.0
-    for a in grid:
-        for b in grid[1:]:
-            ref = marcum_q1_oracle(float(a), float(b))
-            worst = max(worst, abs(marcum_q1(float(a), float(b)) - ref) / ref)
     edge_worst = 0.0
     for b in grid[1:]:
         ref = math.exp(-0.5 * float(b) ** 2)
         edge_worst = max(edge_worst, abs(marcum_q1(0.0, float(b)) - ref) / ref)
     for a in grid:
         edge_worst = max(edge_worst, abs(marcum_q1(float(a), 0.0) - 1.0))
-    ok = worst <= 1e-10 and edge_worst <= 1e-12
-    _report(3, "Marcum Q1 oracle equivalence", ok,
-            f"grid worst rel err {worst:.2e} (limit 1e-10), "
-            f"edge worst {edge_worst:.2e} (limit 1e-12)")
+    _report(3, "Marcum Q1 oracle equivalence", result.passed and edge_worst <= 1e-12,
+            f"{result.line()}; axis worst {edge_worst:.2e} (limit 1e-12)")
 
 
 def test_criterion_4_ls_estimator_statistics():
+    result = check_estimator_statistics(trials=TRIALS, seed=11_004)
     scenario = canonical_scenario(sinr_db=5.0, n_train=8, mu_mag=0.0)
-    est = simulate_estimates(scenario, scenario.legit_link, TRIALS, RngHandle(11_004))
-    v = scenario.est_variance
     truth = scenario.legit_link.h_res
-    comp_se = math.sqrt(v / 2.0 / TRIALS)
-    bias = max(abs(float(np.mean(est.real)) - truth.real),
-               abs(float(np.mean(est.imag)) - truth.imag))
-    var_err = max(abs(float(np.var(est.real)) - v / 2.0),
-                  abs(float(np.var(est.imag)) - v / 2.0)) / (v / 2.0)
-
     noiseless = LinkNoiseParams(0.0, 0.0, 0.0)
     x = SignalFrame.all_ones(8)
     y = exchange(x, scenario.legit_link, scenario.tx, noiseless, RngHandle(0))
     exact = ls_estimate(x, y, scenario.tx, noiseless).value
     recovery_err = abs(exact - truth) / abs(truth)
-
-    ok = bias <= 4.0 * comp_se and var_err <= 0.02 and recovery_err <= 1e-12
-    _report(4, "LS estimator statistics", ok,
-            f"bias {bias:.2e} vs 4*stderr {4 * comp_se:.2e}, "
-            f"variance error {var_err:.2%} (limit 2%), "
-            f"noiseless recovery {recovery_err:.1e} (limit 1e-12)")
+    _report(4, "LS estimator statistics", result.passed and recovery_err <= 1e-12,
+            f"{result.line()}; noiseless recovery {recovery_err:.1e} (limit 1e-12)")
 
 
 def test_criterion_5_consolidation_equivalence():

@@ -41,10 +41,6 @@ class TestDeviceModel:
         with pytest.raises(ParameterError):
             DeviceModel(h_tx=complex(math.inf, 0), h_rx=1 + 0j)
 
-    def test_negative_si_power_rejected(self):
-        with pytest.raises(ParameterError):
-            DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j, si_power=-0.5)
-
     def test_fading_variance_must_be_positive(self):
         with pytest.raises(ParameterError):
             RayleighFadingChannel(0.0)

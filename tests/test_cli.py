@@ -154,6 +154,21 @@ class TestSweepCommand:
                      "--mu-list", ""]) == EXIT_ERROR
         assert "mu-list" in capsys.readouterr().err
 
+    def test_non_numeric_mu_is_usage_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, ROC_CONFIG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--mu-list", "0.5,abc"]) == EXIT_ERROR
+        assert "--mu-list" in capsys.readouterr().err
+
+    def test_colliding_file_names_are_usage_error(self, tmp_path, capsys):
+        # 1.0 and 1.00001 would both write roc_mu_1.0000.csv
+        cfg = _write(tmp_path, ROC_CONFIG)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--mu-list", "1.0,1.00001"]) == EXIT_ERROR
+        assert "--mu-list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_order_independent_contents(self, tmp_path):
         cfg = _write(tmp_path, ROC_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -209,6 +224,17 @@ class TestAuthCommand:
         # zero fingerprint distance: identical statistic, identical outcome
         assert clone_report["statistic"] == legit_report["statistic"]
         assert clone_report["decision"] == "ACCEPT"
+
+    def test_trials_flag_rejected(self, tmp_path, capsys):
+        # one episode has no Monte Carlo budget to override
+        cfg = _write(tmp_path, AUTH_CONFIG)
+        assert main(["auth", "--config", cfg, "--trials", "5"]) == EXIT_ERROR
+        assert "--trials" in capsys.readouterr().err
+
+    def test_legitimate_responder_needs_no_mtag_keys(self, tmp_path):
+        text = "".join(line for line in AUTH_CONFIG.splitlines(keepends=True)
+                       if not line.startswith("mtag_"))
+        assert main(["auth", "--config", _write(tmp_path, text)]) == EXIT_OK
 
     def test_missing_responder_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, AUTH_CONFIG.replace("responder = ltag\n", ""))

@@ -14,7 +14,6 @@ ltag_h_tx = 0.8+0.3j
 ltag_h_rx = 1.05+0.15j
 mtag_h_tx = 0.6-0.4j
 mtag_h_rx = 1.2+0.1j
-mtag_si_power = 0.05
 
 [signaling]
 p_r = 2.0
@@ -65,13 +64,17 @@ class TestLoadConfig:
         assert reader.role is Role.READER
         assert reader.h_rx == 0.9 - 0.1j
         assert mtag.role is Role.MALICIOUS_TAG
-        assert mtag.si_power == 0.05
-        # si_power defaults to zero when omitted
-        assert device_from(doc, "ltag").si_power == 0.0
+        assert mtag.h_tx == 0.6 - 0.4j
 
     def test_unknown_key_names_field_and_line(self, tmp_path):
         text = FULL_CONFIG.replace("seed = 42", "seed = 42\nsede = 1")
-        with pytest.raises(ConfigurationError, match=r"sede.*line 27"):
+        with pytest.raises(ConfigurationError, match=r"sede.*line 26"):
+            load_config(_write(tmp_path, text))
+
+    def test_si_power_key_rejected(self, tmp_path):
+        # never used in any computation, so it is an unknown key like any other
+        text = FULL_CONFIG.replace("mtag_h_rx = 1.2+0.1j", "mtag_h_rx = 1.2+0.1j\nmtag_si_power = 0")
+        with pytest.raises(ConfigurationError, match=r"mtag_si_power.*unknown key"):
             load_config(_write(tmp_path, text))
 
     def test_unknown_section_rejected(self, tmp_path):

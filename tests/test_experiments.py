@@ -222,5 +222,5 @@ class TestSweepAttacker:
             sweep_attacker(_config(), [])
 
     def test_negative_mu_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigurationError):
             sweep_attacker(_config(), [0.5, -0.1])
