@@ -25,7 +25,7 @@ def fingerprint_distance(value, ground_truth):
     """Test statistic |value - ground_truth|.
 
     Evaluated as sqrt(re^2 + im^2) from elementary correctly-rounded ops, so
-    the scalar decision path and the vectorized Monte Carlo kernel produce
+    the scalar decision path and the batched full-frame path produce
     bit-identical statistics.  Accepts complex scalars or arrays.
     """
     d = value - ground_truth

@@ -28,8 +28,9 @@ class FingerprintEstimate:
 def effective_training(symbols: np.ndarray, tx: TxParams) -> tuple[np.ndarray, float]:
     """Training signal as seen through the forward gain, and its energy.
 
-    Shared by the scalar estimator and the vectorized Monte Carlo kernel so
-    the two stay arithmetically identical.
+    Shared by the scalar estimator and the batched full-frame path
+    (``experiments.simulate_estimates``) so the two stay arithmetically
+    identical.
     """
     x_eff = (tx.eta * math.sqrt(tx.p_r)) * symbols
     energy = float(np.sum(x_eff.real**2 + x_eff.imag**2))

@@ -11,6 +11,14 @@ noise variance, tag amplification set from the SINR, unit-modulus training,
 fixed (non-fading) propagation, enrolled fingerprint equal to the
 legitimate link's realized residual.
 
+The engine draws the sufficient statistic, not the frame: for any
+training frame the LS estimate is ``h_res + e`` with ``e ~ CN(0, v)`` and
+``v`` the closed-form estimation-error variance, so each trial costs one
+complex normal whatever ``n_train`` is.  The per-trial pipeline
+(``run_trial``) and its batched twin ``simulate_estimates`` are the
+reference; ``validate`` certifies the kernel against them by distribution,
+not bit for bit.
+
 Trials are split into fixed-size shards, each drawing from its own
 deterministically derived random stream; shards merge by integer rejection
 counts, so results are independent of worker count and scheduling.  The
@@ -95,13 +103,11 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
-    def sinr_linear(self) -> float:
-        return 10.0 ** (self.sinr_db / 10.0)
-
-    @property
     def est_variance(self) -> float:
-        """Estimation-error variance for unit-modulus training of length n_train."""
-        return 1.0 / (self.sinr_linear * self.n_train)
+        """Estimation-error variance of the canonical scenario (unit-modulus
+        training of length n_train): the one value behind the analytic
+        curves, the engine's thresholds and its draws."""
+        return scenario_for(self).est_variance
 
     @classmethod
     def from_raw(
@@ -237,8 +243,9 @@ def scenario_for(config: ExperimentConfig) -> Scenario:
 
 def run_trial(scenario: Scenario, link: LinkRealization, target_pfa: float,
               rng: RngHandle):
-    """One full challenge-response-estimate-decide episode (the reference
-    per-trial path; the vectorized engine is bit-identical to it)."""
+    """One full challenge-response-estimate-decide episode: the reference
+    per-trial path.  `simulate_estimates` is bit-identical to a loop of it;
+    the engine's kernel matches it in distribution only."""
     challenge = SignalFrame.all_ones(scenario.n_train)
     response = exchange(challenge, link, scenario.tx, scenario.noise, rng)
     estimate = ls_estimate(challenge, response, scenario.tx, scenario.noise)
@@ -253,10 +260,11 @@ def run_trial(scenario: Scenario, link: LinkRealization, target_pfa: float,
 def simulate_estimates(
     scenario: Scenario, link: LinkRealization, trials: int, rng: RngHandle
 ) -> np.ndarray:
-    """Vectorized LS estimates over `trials` independent exchanges.
+    """Batched full-frame LS estimates over `trials` independent exchanges.
 
     Consumes the random stream exactly like `trials` successive calls of
-    the per-trial pipeline on the same handle.
+    the per-trial pipeline on the same handle, and returns the same values:
+    the oracle the engine's kernel is certified against.
     """
     challenge = SignalFrame.all_ones(scenario.n_train)
     x = challenge.symbols
@@ -272,8 +280,10 @@ def simulate_estimates(
 def simulate_statistics(
     scenario: Scenario, link: LinkRealization, trials: int, rng: RngHandle
 ) -> np.ndarray:
-    """Vectorized test statistics |estimate - ground truth|."""
-    est = simulate_estimates(scenario, link, trials, rng)
+    """Test statistics |estimate - ground truth| over `trials` exchanges,
+    drawn from the estimate's law CN(h_res, est_variance): one complex
+    normal (two standard normals) per trial, whatever n_train is."""
+    est = sample_complex_normal_array(rng, link.h_res, scenario.est_variance, int(trials))
     return fingerprint_distance(est, scenario.ground_truth)
 
 
@@ -355,7 +365,7 @@ def roc_analytic(config: ExperimentConfig) -> RocCurve:
 
 
 def roc_empirical(config: ExperimentConfig) -> RocCurve:
-    """Monte Carlo ROC from full-pipeline trials under the attack hypothesis."""
+    """Monte Carlo ROC from the engine's trials under the attack hypothesis."""
     rates = empirical_rejection_rates(config, hypothesis="h1")
     points = tuple(
         RocPoint(

@@ -12,8 +12,11 @@ thread counts.
 Complex draws consume the underlying generator as standard normals shaped
 ``(..., 2)``, real and imaginary parts interleaved per element.  Because
 numpy fills arrays in C order, a batched ``(trials, n, 2)`` draw consumes
-the stream exactly like ``trials`` successive ``(n, 2)`` draws; vectorized
-Monte Carlo kernels are therefore bit-identical to per-trial loops.
+the stream exactly like ``trials`` successive ``(n, 2)`` draws, so the
+batched full-frame path is bit-identical to a loop of per-trial episodes.
+The Monte Carlo engine draws one complex estimate per trial instead of the
+frame, so it consumes two standard normals per trial and matches the
+per-trial pipeline in distribution, not bit for bit.
 
 A handle is single-owner: never share one across concurrent callers, give
 each worker its own ``spawn``.

@@ -4,14 +4,17 @@ Everything here exists to certify the closed-form / series code paths from
 the outside: the oracles are adaptive quadratures of defining integrals
 (via scipy's QUADPACK) and never call into ``backscatter_auth.special``'s
 series code, and the statistical checks compare analytic error
-probabilities against seeded Monte Carlo runs of the full signaling
-pipeline.  The CLI ``validate`` command and the test suite both run these.
+probabilities against seeded runs of the Monte Carlo engine.  The engine
+draws the LS estimate from its closed-form law instead of simulating the
+frame, so one check holds its statistics to the full-frame LS path in
+distribution.  The CLI ``validate`` command and the test suite both run
+these.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
@@ -299,6 +302,53 @@ def check_estimator_statistics(trials: int = 100_000, seed: int = 20243) -> Chec
     )
 
 
+def _kernel_deviation(trials: int, seed: int, variance_factor: float) -> tuple[float, float, str]:
+    """Worst two-sample KS statistic, over H0 and H1, between trials/2
+    full-frame LS statistics and 10*trials engine-kernel statistics whose
+    variance is scaled by ``variance_factor``; with the 1% critical value."""
+    scenario = experiments.canonical_scenario(sinr_db=5.0, n_train=8, mu_mag=0.5)
+    kernel_scenario = replace(scenario, est_variance=variance_factor * scenario.est_variance)
+    reference, draws = max(1, trials // 2), 10 * trials
+    worst = 0.0
+    worst_at = ""
+    for h, link in enumerate((scenario.legit_link, scenario.attack_link)):
+        est = experiments.simulate_estimates(scenario, link, reference, RngHandle(seed, (h, 0)))
+        frame = detection.fingerprint_distance(est, scenario.ground_truth)
+        kernel = experiments.simulate_statistics(kernel_scenario, link, draws,
+                                                 RngHandle(seed, (h, 1)))
+        ks = ks_statistic(frame, kernel)
+        if ks > worst:
+            worst, worst_at = ks, f"H{h}"
+    return worst, ks_critical(0.01, reference, draws), worst_at
+
+
+def check_kernel_vs_frame_path(trials: int = 100_000, seed: int = 20244) -> CheckResult:
+    """The engine's one-draw kernel must match the full-frame LS path in
+    distribution: KS on the test statistic under H0 and H1, at the 1%
+    critical value."""
+    worst, limit, at = _kernel_deviation(trials, seed, variance_factor=1.0)
+    return CheckResult(
+        name="Monte Carlo kernel vs full-frame LS path",
+        passed=worst <= limit,
+        observed=worst,
+        limit=limit,
+        detail=f"worst KS statistic at {at}, vs 1% critical",
+    )
+
+
+def check_kernel_variance_mutation(trials: int = 100_000, seed: int = 20244) -> CheckResult:
+    """Mutation power check: a kernel drawing with 1.10x the estimation-error
+    variance must be rejected by the same KS test."""
+    worst, limit, at = _kernel_deviation(trials, seed, variance_factor=1.10)
+    return CheckResult(
+        name="kernel variance mutation rejected",
+        passed=worst > limit,
+        observed=worst,
+        limit=limit,
+        detail=f"mutated kernel's KS statistic at {at} (must exceed the 1% critical)",
+    )
+
+
 def run_all(fast: bool = False, seed: int = 2024, trials: int | None = None) -> ValidationReport:
     """The full self-validation battery, as run by the CLI validate command."""
     if trials is None:
@@ -312,4 +362,6 @@ def run_all(fast: bool = False, seed: int = 2024, trials: int | None = None) -> 
     report.add(check_scale_convention_mutation(trials=trials, seed=seed + 2))
     report.add(check_consolidation_equivalence(n=n_cons, seed=seed + 3))
     report.add(check_estimator_statistics(trials=trials, seed=seed + 4))
+    report.add(check_kernel_vs_frame_path(trials=trials, seed=seed + 5))
+    report.add(check_kernel_variance_mutation(trials=trials, seed=seed + 5))
     return report

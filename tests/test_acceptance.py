@@ -3,7 +3,8 @@
 Each test prints one PASS/FAIL line (run with `pytest -s` to see them all).
 Monte Carlo budgets are 1e5 trials per operating point with pinned seeds;
 analytic-vs-empirical tolerances are 4 binomial standard errors.  Criteria
-1-5 run the same checks as `backscatter-auth validate`, at these budgets.
+1-5 and 10 run the same checks as `backscatter-auth validate`, at these
+budgets.
 """
 
 import math
@@ -30,6 +31,8 @@ from backscatter_auth.validation import (
     check_consolidation_equivalence,
     check_estimator_statistics,
     check_false_alarm_grid,
+    check_kernel_variance_mutation,
+    check_kernel_vs_frame_path,
     check_marcum_vs_quadrature,
     check_missed_detection_grid,
     check_scale_convention_mutation,
@@ -182,3 +185,12 @@ def test_criterion_9_reproducibility(tmp_path, monkeypatch):
     _report(9, "reproducibility", ok,
             f"CSV byte-identical: {byte_identical}; "
             f"sharded counts identical across thread counts: {counts_identical}")
+
+
+def test_criterion_10_kernel_matches_frame_path():
+    fit = check_kernel_vs_frame_path(trials=TRIALS, seed=11_011)
+    # a kernel drawing with 10% too much variance must be rejected by the
+    # same data
+    mutation = check_kernel_variance_mutation(trials=TRIALS, seed=11_011)
+    _report(10, "Monte Carlo kernel vs full-frame LS path", fit.passed and mutation.passed,
+            f"{fit.line()}; {mutation.line()}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from backscatter_auth.channel import residual_distance
-from backscatter_auth.detection import design_threshold
+from backscatter_auth.detection import design_threshold, fingerprint_distance
 from backscatter_auth.errors import ConfigurationError, ParameterError
 from backscatter_auth.experiments import (
     SHARD_TRIALS,
@@ -20,6 +20,7 @@ from backscatter_auth.experiments import (
     roc_empirical,
     run_trial,
     scenario_for,
+    simulate_estimates,
     simulate_statistics,
     sweep_attacker,
 )
@@ -39,6 +40,9 @@ class TestExperimentConfig:
     def test_est_variance_formula(self):
         cfg = _config(sinr_db=5.0, n_train=8)
         assert cfg.est_variance == pytest.approx(1.0 / (10**0.5 * 8), rel=1e-14)
+        # the analytic curves and the engine read one value, to the last bit
+        cfg = _config(sinr_db=7.3, n_train=1)
+        assert cfg.est_variance == scenario_for(cfg).est_variance
 
     def test_raw_parameter_reduction(self):
         cfg = ExperimentConfig.from_raw(
@@ -87,22 +91,48 @@ class TestScenario:
 
 
 class TestEngineEquivalence:
-    def test_vectorized_kernel_matches_per_trial_pipeline_bitwise(self):
+    def test_frame_path_matches_per_trial_pipeline_bitwise(self):
         cfg = _config(trials=2048, n_train=8)
         scenario = scenario_for(cfg)
         for link in (scenario.legit_link, scenario.attack_link):
-            batched = simulate_statistics(scenario, link, cfg.trials, RngHandle(5, (1,)))
+            estimates = simulate_estimates(scenario, link, cfg.trials, RngHandle(5, (1,)))
+            batched = fingerprint_distance(estimates, scenario.ground_truth)
             rng = RngHandle(5, (1,))
+            looped_est = np.empty(cfg.trials, dtype=complex)
             looped = np.empty(cfg.trials)
             accepted = np.empty(cfg.trials, dtype=bool)
             for i in range(cfg.trials):
-                _, decision = run_trial(scenario, link, 0.1, rng)
+                estimate, decision = run_trial(scenario, link, 0.1, rng)
+                looped_est[i] = estimate.value
                 looped[i] = decision.statistic
                 accepted[i] = decision.accepted
+            np.testing.assert_array_equal(estimates, looped_est)
             np.testing.assert_array_equal(batched, looped)
             # decision rule consistency: batched counts use the same tie rule
             delta = design_threshold(0.1, scenario.est_variance)
             assert int(np.sum(batched >= delta)) == int(np.sum(~accepted))
+
+    @pytest.mark.parametrize("n_train", [1, 64])
+    def test_kernel_draws_two_normals_per_trial(self, n_train):
+        # the stream layout: one interleaved (re, im) pair per trial, so the
+        # handle advances the same whatever the training length
+        trials = 1000
+        scenario = scenario_for(_config(n_train=n_train))
+        rng = RngHandle(5, (1,))
+        simulate_statistics(scenario, scenario.attack_link, trials, rng)
+        fresh = RngHandle(5, (1,))
+        fresh.generator.standard_normal((trials, 2))
+        np.testing.assert_array_equal(rng.generator.standard_normal(8),
+                                      fresh.generator.standard_normal(8))
+
+    def test_seeded_counts_pinned(self):
+        # frozen from the one-draw kernel over three shards; guards the
+        # stream layout, the shard split and the tie rule against drift
+        cfg = _config(trials=SHARD_TRIALS * 2 + 100, n_train=8, mu_mag=0.3)
+        np.testing.assert_array_equal(empirical_rejection_counts(cfg, "h1"),
+                                      [15344, 19474, 26605])
+        np.testing.assert_array_equal(empirical_rejection_counts(cfg, "h0"),
+                                      [1689, 3338, 10076])
 
     def test_sharding_does_not_change_counts(self):
         # trials straddling several shards vs a single-shard budget

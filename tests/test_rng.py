@@ -41,7 +41,7 @@ class TestReproducibility:
         assert not np.array_equal(xs, ys)
 
     def test_batched_draw_equals_sequential_draws(self):
-        # the pinned stream discipline behind the vectorized Monte Carlo kernel
+        # the pinned stream discipline behind the batched full-frame LS path
         trials, n = 64, 8
         batched = sample_complex_normal_array(RngHandle(11), 0j, 1.0, (trials, n))
         rng = RngHandle(11)

@@ -50,7 +50,7 @@ class TestBattery:
     def test_fast_battery_passes(self):
         report = run_all(fast=True, seed=2024)
         assert report.passed
-        assert len(report.checks) == 6
+        assert len(report.checks) == 8
         as_dict = report.as_dict()
         assert as_dict["passed"] is True
         assert all(isinstance(c["observed"], float) for c in as_dict["checks"])
