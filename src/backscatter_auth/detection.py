@@ -6,6 +6,12 @@ complex estimation-error variance; under an attack it is Rician with
 noncentrality equal to the fingerprint distance.  Note the scale is the
 square root of half the complex variance, not the half-variance itself;
 the Monte Carlo validation suite pins this convention down.
+
+The detection probability is Q1(mu/s, delta/s) and the missed-detection
+probability its complement 1 - Q1; each is read from its own side of
+``special``'s Marcum pair, never as one minus the other, so both stay
+relatively accurate deep in their tails (a strong attacker's missed
+detection of 1e-26, say).
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import special
 from .errors import ParameterError
 from .estimation import FingerprintEstimate
-from .special import RiceParams, rayleigh_tail, rice_cdf
 
 
 def fingerprint_distance(value, ground_truth):
@@ -42,19 +48,28 @@ def design_threshold(target_pfa: float, est_variance: float) -> float:
     return math.sqrt(-math.log(target_pfa) * est_variance)
 
 
-def analytic_pfa(threshold: float, est_variance: float) -> float:
-    """False-alarm probability exp(-threshold^2 / est_variance)."""
+def _rice_scale(est_variance: float) -> float:
+    """Per-component scale sqrt(v/2) of the statistic's Rice/Rayleigh law."""
     if not math.isfinite(est_variance) or est_variance <= 0.0:
         raise ParameterError(f"est_variance must be > 0, got {est_variance!r}")
-    return rayleigh_tail(threshold, math.sqrt(est_variance / 2.0))
+    return math.sqrt(est_variance / 2.0)
+
+
+def analytic_pfa(threshold: float, est_variance: float) -> float:
+    """False-alarm probability exp(-threshold^2 / est_variance)."""
+    return special.rayleigh_tail(threshold, _rice_scale(est_variance))
+
+
+def analytic_pd(mu_mag: float, threshold: float, est_variance: float) -> float:
+    """Detection probability Q1(mu/s, threshold/s), s = sqrt(v/2)."""
+    s = _rice_scale(est_variance)
+    return special.marcum_q1(mu_mag / s, threshold / s)
 
 
 def analytic_pmd(mu_mag: float, threshold: float, est_variance: float) -> float:
     """Missed-detection probability 1 - Q1(mu/s, threshold/s), s = sqrt(v/2)."""
-    if not math.isfinite(est_variance) or est_variance <= 0.0:
-        raise ParameterError(f"est_variance must be > 0, got {est_variance!r}")
-    s = math.sqrt(est_variance / 2.0)
-    return rice_cdf(threshold, RiceParams(nu=mu_mag, sigma=s))
+    s = _rice_scale(est_variance)
+    return special.rice_cdf(threshold, special.RiceParams(nu=mu_mag, sigma=s))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ import numpy as np
 from .channel import DeviceModel, FixedChannel, LinkRealization, Role, make_link
 from .detection import (
     DetectorConfig,
-    analytic_pmd,
+    analytic_pd,
     authenticate,
     design_threshold,
     fingerprint_distance,
@@ -353,13 +353,13 @@ def empirical_rejection_rates(
 
 
 def roc_analytic(config: ExperimentConfig) -> RocCurve:
-    """Closed-form ROC: pd = 1 - missed-detection probability at the
-    threshold designed for each grid pfa."""
+    """Closed-form ROC: pd = Q1 at the threshold designed for each grid pfa,
+    read directly rather than as 1 - missed-detection probability."""
     v = config.est_variance
     points = []
     for pfa in config.pfa_grid:
         delta = design_threshold(pfa, v)
-        pd = 1.0 - analytic_pmd(config.mu_mag, delta, v)
+        pd = analytic_pd(config.mu_mag, delta, v)
         points.append(RocPoint(pfa=pfa, pd=pd, kind=RocKind.ANALYTIC, stderr=0.0))
     return RocCurve(points=tuple(points), config_digest=config.digest())
 

@@ -11,8 +11,9 @@ Design notes
     scaled one times e^x and overflows past x ~ 709; callers in that range
     must use ``bessel_i0_scaled``.
 
-``marcum_q1``
-    Poisson-mixture form of the noncentral chi-square (2 dof) tail:
+``marcum_q1`` / ``marcum_q1c``
+    Both read one private pair ``(Q1, 1 - Q1)``.  Poisson-mixture form of
+    the noncentral chi-square (2 dof) tail:
 
         Q1(a,b) = sum_{k>=0} Pois(k; a^2/2) * P[Pois(b^2/2) <= k]
         1 - Q1(a,b) = sum_{m>=0} Pois(m+1; b^2/2) * P[Pois(a^2/2) <= m]
@@ -23,9 +24,20 @@ Design notes
     factors are seeded in log space (lgamma) at the window edge and advanced
     by two-term recurrences, which keeps everything finite for arguments far
     beyond the overflow range of the textbook Bessel-series form.  Whichever
-    of Q and 1-Q is the smaller is the one summed directly, so the returned
-    value keeps full relative accuracy on both tails.  Closed forms are used
-    on the axes: Q1(a, 0) = 1 and Q1(0, b) = exp(-b^2/2).
+    of Q and 1-Q is the smaller is the one summed directly and the other is
+    its complement, so each side keeps full relative accuracy in its own
+    tail.  Closed forms are used on the axes: Q1(a, 0) = 1 and
+    Q1(0, b) = exp(-b^2/2).
+
+    Underflow cut-off: with T = |a + Z|, Z standard complex normal (unit
+    variance per component), T <= b forces |Z| >= a - b, so
+    1 - Q1 <= exp(-(a-b)^2/2) when b < a; likewise Q1 <= exp(-(b-a)^2/2)
+    when b > a.  Once (a-b)^2/2 exceeds 745.2 the smaller side lies below
+    half the smallest subnormal and is exactly 0.0 in double precision, so
+    the sum is skipped.  The sum therefore only runs for |a - b| <= 38.61.
+    The detector's callers pass b = sqrt(-2 ln pfa) <= 38.6 for any double
+    pfa, so a <= 77.2 whenever they reach the sum and every analytic ROC
+    point has bounded cost, however strong the attacker.
 
 The defining-integral quadrature oracle used to certify these routines
 lives in ``backscatter_auth.validation``, deliberately not here.
@@ -40,6 +52,9 @@ from .errors import ParameterError
 
 _REL_EPS = 1e-17
 _I0_SERIES_CUTOFF = 40.0
+# (a-b)^2/2 past which exp(-(a-b)^2/2), the bound on the smaller of Q1 and
+# 1-Q1, is below half the smallest subnormal (exp(-745.13)): that side is 0.0
+_MARCUM_UNDERFLOW_EXPONENT = 745.2
 
 
 def _check_nonneg(value: float, name: str) -> float:
@@ -188,6 +203,28 @@ def _marcum_mixture_sum(theta_p: float, theta_c: float, shift: int) -> float:
             cdf = 1.0
 
 
+def _marcum_pair(a: float, b: float) -> tuple[float, float]:
+    """(Q1(a, b), 1 - Q1(a, b)), the smaller side summed and the other its
+    complement; the smaller side is exactly 0.0 past the underflow cut-off."""
+    a = _check_nonneg(a, "a")
+    b = _check_nonneg(b, "b")
+    if b == 0.0:
+        return 1.0, 0.0
+    if a == 0.0:
+        half_b2 = 0.5 * b * b
+        return math.exp(-half_b2), -math.expm1(-half_b2)
+    if 0.5 * (a - b) ** 2 > _MARCUM_UNDERFLOW_EXPONENT:
+        return (0.0, 1.0) if b > a else (1.0, 0.0)
+    alpha = 0.5 * a * a
+    beta = 0.5 * b * b
+    # the sums are of positive terms; min() only absorbs last-ulp rounding
+    if b > a:
+        q = min(1.0, _marcum_mixture_sum(alpha, beta, 0))
+        return q, 1.0 - q
+    qc = min(1.0, _marcum_mixture_sum(beta, alpha, 1))
+    return 1.0 - qc, qc
+
+
 def marcum_q1(a: float, b: float) -> float:
     """Marcum Q-function of order 1: P(T > b) for T with density
     x exp(-(x^2+a^2)/2) I0(a x) on x >= 0.
@@ -196,23 +233,18 @@ def marcum_q1(a: float, b: float) -> float:
     on a <= 50, b <= 50 against the defining-integral quadrature oracle);
     smaller results sit in double precision's denormal territory and keep
     absolute accuracy only, with true values below ~1e-308 returned as 0.
-    Clamped to [0, 1] only to absorb last-ulp rounding.  Evaluation cost
-    grows like O(a + b) summation steps, so the function stays fast through
-    a, b of a few thousand.
+    Where (a-b)^2/2 > 745.2 the result is exactly 0.0 (b > a) or 1.0
+    (b < a) without summation (see the module notes), so the cost is
+    bounded for every b <= 38.6, whatever a is; only when both a and b are
+    large and close does it grow like O(a + b) summation steps.
     """
-    a = _check_nonneg(a, "a")
-    b = _check_nonneg(b, "b")
-    if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return math.exp(-0.5 * b * b)
-    alpha = 0.5 * a * a
-    beta = 0.5 * b * b
-    if b > a:
-        q = _marcum_mixture_sum(alpha, beta, 0)
-    else:
-        q = 1.0 - _marcum_mixture_sum(beta, alpha, 1)
-    return min(1.0, max(0.0, q))
+    return _marcum_pair(a, b)[0]
+
+
+def marcum_q1c(a: float, b: float) -> float:
+    """Complement 1 - Q1(a, b) = P(T <= b), relatively accurate in its own
+    lower tail (down to ~1e-290, as ``marcum_q1``), not 1 minus a rounded Q1."""
+    return _marcum_pair(a, b)[1]
 
 
 def rayleigh_tail(delta: float, sigma: float) -> float:
@@ -244,6 +276,7 @@ class RiceParams:
 
 
 def rice_cdf(x: float, params: RiceParams) -> float:
-    """P(T <= x) for T ~ Rice(params): 1 - Q1(nu/sigma, x/sigma)."""
+    """P(T <= x) for T ~ Rice(params): 1 - Q1(nu/sigma, x/sigma), read from
+    the complement directly so the lower tail keeps its relative accuracy."""
     x = _check_nonneg(x, "x")
-    return 1.0 - marcum_q1(params.nu / params.sigma, x / params.sigma)
+    return marcum_q1c(params.nu / params.sigma, x / params.sigma)

@@ -14,13 +14,14 @@ these.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
 from scipy import special as sp_special
 
-from . import detection, experiments, signaling
+from . import detection, experiments, signaling, special
 from .rng import RngHandle
 
 # quadrature tolerance: comfortably below every certification threshold here
@@ -42,31 +43,40 @@ def bessel_i0_oracle(x: float) -> float:
     return math.exp(x) * bessel_i0_scaled_oracle(x)
 
 
-def marcum_q1_oracle(a: float, b: float) -> float:
-    """Q1(a,b) by adaptive quadrature of the defining integral
-    integral_b^inf x exp(-(x^2+a^2)/2) I0(a x) dx.
-
-    The integrand is evaluated in the overflow-safe arrangement
-    x exp(-(x-a)^2/2) * [e^-ax I0(ax)] with scipy's i0e, so the oracle
-    shares no code with the series implementation under test.
-    """
+def _rice_integrand(a: float):
+    """x exp(-(x^2+a^2)/2) I0(a x), arranged as x exp(-(x-a)^2/2) *
+    [e^-ax I0(ax)] with scipy's i0e so it neither overflows nor shares code
+    with the series implementation under test."""
 
     def integrand(x: float) -> float:
         return x * math.exp(-0.5 * (x - a) ** 2) * sp_special.i0e(a * x)
 
-    # split at the density mode for quadrature stability on wide ranges
-    points = sorted({b, max(a, 1.0), a + 10.0, b + 10.0})
+    return integrand
+
+
+def _quad_pieces(integrand, edges) -> float:
+    """Sum of adaptive quadratures over consecutive pieces of ``edges``."""
     total = 0.0
-    lo = b
-    for pt in points:
-        if pt > lo:
-            part, _ = integrate.quad(integrand, lo, pt,
-                                     epsabs=0.0, epsrel=_QUAD_EPSREL, limit=400)
-            total += part
-            lo = pt
-    tail, _ = integrate.quad(integrand, lo, np.inf,
-                             epsabs=0.0, epsrel=_QUAD_EPSREL, limit=400)
-    return total + tail
+    for lo, hi in zip(edges, edges[1:]):
+        part, _ = integrate.quad(integrand, lo, hi,
+                                 epsabs=0.0, epsrel=_QUAD_EPSREL, limit=400)
+        total += part
+    return total
+
+
+def marcum_q1_oracle(a: float, b: float) -> float:
+    """Q1(a,b) by adaptive quadrature of the defining integral
+    integral_b^inf x exp(-(x^2+a^2)/2) I0(a x) dx."""
+    # split at the density mode for quadrature stability on wide ranges
+    points = sorted(pt for pt in {max(a, 1.0), a + 10.0, b + 10.0} if pt > b)
+    return _quad_pieces(_rice_integrand(a), [b, *points, np.inf])
+
+
+def marcum_q1c_oracle(a: float, b: float) -> float:
+    """1 - Q1(a,b) by adaptive quadrature of the same integrand over [0, b],
+    so the lower tail is integrated directly, never subtracted from 1."""
+    points = sorted(pt for pt in {max(a, 1.0), a - 10.0, b - 10.0} if 0.0 < pt < b)
+    return _quad_pieces(_rice_integrand(a), [0.0, *points, b])
 
 
 def ks_statistic(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
@@ -94,6 +104,7 @@ class CheckResult:
     observed: float
     limit: float
     detail: str = ""
+    seconds: float = 0.0  # wall time, set by run_all
 
     def __post_init__(self):
         # numpy scalars sneak in from the Monte Carlo paths; keep the report
@@ -129,33 +140,77 @@ class ValidationReport:
                     "observed": c.observed,
                     "limit": c.limit,
                     "detail": c.detail,
+                    "seconds": c.seconds,
                 }
                 for c in self.checks
             ],
         }
 
 
-def check_marcum_vs_quadrature(step: float = 0.25, tol: float = 1e-10) -> CheckResult:
-    """Worst relative error of marcum_q1 against the quadrature oracle on
-    the grid a, b in {0, step, ..., 10}."""
-    from .special import marcum_q1
+# below this, results sit in double precision's denormal territory and keep
+# absolute accuracy only; relative checks skip such reference values
+_MARCUM_REF_FLOOR = 1e-290
 
+
+def _worst_marcum_error(fn, oracle, pairs) -> tuple[float, tuple[float, float], float]:
+    """Worst relative error of fn against oracle over the (a, b) pairs, where
+    it occurred, and the smallest reference value checked."""
     worst = 0.0
     worst_at = (0.0, 0.0)
-    grid = np.arange(0.0, 10.0 + step / 2, step)
-    for a in grid:
-        for b in grid:
-            ref = marcum_q1_oracle(float(a), float(b)) if b > 0 else 1.0
-            got = marcum_q1(float(a), float(b))
-            err = abs(got - ref) / ref
-            if err > worst:
-                worst, worst_at = err, (float(a), float(b))
+    smallest = 1.0
+    for a, b in pairs:
+        ref = oracle(a, b)
+        if ref < _MARCUM_REF_FLOOR:
+            continue
+        smallest = min(smallest, ref)
+        err = abs(fn(a, b) - ref) / ref
+        if err > worst:
+            worst, worst_at = err, (a, b)
+    return worst, worst_at, smallest
+
+
+def _square_grid(stop: float, step: float) -> list[float]:
+    return [float(x) for x in np.arange(0.0, stop + step / 2, step)]
+
+
+def check_marcum_vs_quadrature(
+    step: float = 0.25, tol: float = 1e-10, wide_step: float | None = None,
+) -> CheckResult:
+    """Worst relative error of marcum_q1 against the quadrature oracle on
+    the grid a, b in {0, step, ..., 10}, plus, with ``wide_step``, the
+    sparse grid {0, wide_step, ..., 50} outside that square."""
+    dense = _square_grid(10.0, step)
+    pairs = [(a, b) for a in dense for b in dense]
+    if wide_step is not None:
+        sparse = _square_grid(50.0, wide_step)
+        pairs += [(a, b) for a in sparse for b in sparse if max(a, b) > 10.0]
+    worst, worst_at, _ = _worst_marcum_error(
+        special.marcum_q1,
+        lambda a, b: marcum_q1_oracle(a, b) if b > 0 else 1.0,
+        pairs,
+    )
     return CheckResult(
         name="marcum_q1 vs defining-integral quadrature",
         passed=worst <= tol,
         observed=worst,
         limit=tol,
-        detail=f"worst at (a,b)={worst_at}",
+        detail=f"worst at (a,b)={worst_at} over {len(pairs)} points",
+    )
+
+
+def check_marcum_complement_vs_quadrature(step: float = 1.0, tol: float = 1e-10) -> CheckResult:
+    """Worst relative error of marcum_q1c against the quadrature of the
+    Rice density over [0, b], on a, b in {0, step, ..., 40}; with b < a the
+    complement reaches far below 1e-200, where 1 - marcum_q1 reads 0."""
+    grid = _square_grid(40.0, step)
+    pairs = [(a, b) for a in grid for b in grid]
+    worst, worst_at, smallest = _worst_marcum_error(special.marcum_q1c, marcum_q1c_oracle, pairs)
+    return CheckResult(
+        name="marcum_q1c vs lower-tail quadrature",
+        passed=worst <= tol,
+        observed=worst,
+        limit=tol,
+        detail=f"worst at (a,b)={worst_at}, smallest reference {smallest:.1e}",
     )
 
 
@@ -228,11 +283,10 @@ def check_missed_detection_grid(trials: int = 100_000, seed: int = 20241) -> Che
 def check_scale_convention_mutation(trials: int = 100_000, seed: int = 20241) -> CheckResult:
     """Mutation power check: reading the half-variance v/2 literally as the
     Rice scale must be rejected by the same Monte Carlo grid."""
-    from .special import marcum_q1
 
     def mutated_pmd(mu: float, delta: float, v: float) -> float:
         s_bad = v / 2.0
-        return 1.0 - marcum_q1(mu / s_bad, delta / s_bad)
+        return special.marcum_q1c(mu / s_bad, delta / s_bad)
 
     worst, at = _missed_detection_deviation(trials, seed, pmd_fn=mutated_pmd)
     return CheckResult(
@@ -350,18 +404,26 @@ def check_kernel_variance_mutation(trials: int = 100_000, seed: int = 20244) -> 
 
 
 def run_all(fast: bool = False, seed: int = 2024, trials: int | None = None) -> ValidationReport:
-    """The full self-validation battery, as run by the CLI validate command."""
+    """The full self-validation battery, as run by the CLI validate command;
+    each check's wall time is recorded in its ``seconds``."""
     if trials is None:
         trials = 20_000 if fast else 100_000
-    marcum_step = 1.0 if fast else 0.25
-    n_cons = trials
+    checks = [
+        lambda: check_marcum_vs_quadrature(step=1.0 if fast else 0.25,
+                                           wide_step=None if fast else 2.5),
+        lambda: check_marcum_complement_vs_quadrature(step=2.5 if fast else 1.0),
+        lambda: check_false_alarm_grid(trials=trials, seed=seed + 1),
+        lambda: check_missed_detection_grid(trials=trials, seed=seed + 2),
+        lambda: check_scale_convention_mutation(trials=trials, seed=seed + 2),
+        lambda: check_consolidation_equivalence(n=trials, seed=seed + 3),
+        lambda: check_estimator_statistics(trials=trials, seed=seed + 4),
+        lambda: check_kernel_vs_frame_path(trials=trials, seed=seed + 5),
+        lambda: check_kernel_variance_mutation(trials=trials, seed=seed + 5),
+    ]
     report = ValidationReport()
-    report.add(check_marcum_vs_quadrature(step=marcum_step))
-    report.add(check_false_alarm_grid(trials=trials, seed=seed + 1))
-    report.add(check_missed_detection_grid(trials=trials, seed=seed + 2))
-    report.add(check_scale_convention_mutation(trials=trials, seed=seed + 2))
-    report.add(check_consolidation_equivalence(n=n_cons, seed=seed + 3))
-    report.add(check_estimator_statistics(trials=trials, seed=seed + 4))
-    report.add(check_kernel_vs_frame_path(trials=trials, seed=seed + 5))
-    report.add(check_kernel_variance_mutation(trials=trials, seed=seed + 5))
+    for check in checks:
+        start = time.perf_counter()
+        result = check()
+        result.seconds = time.perf_counter() - start
+        report.add(result)
     return report

@@ -33,6 +33,7 @@ from backscatter_auth.validation import (
     check_false_alarm_grid,
     check_kernel_variance_mutation,
     check_kernel_vs_frame_path,
+    check_marcum_complement_vs_quadrature,
     check_marcum_vs_quadrature,
     check_missed_detection_grid,
     check_scale_convention_mutation,
@@ -64,6 +65,8 @@ def test_criterion_2_missed_detection_closed_form():
 
 def test_criterion_3_marcum_oracle_equivalence():
     result = check_marcum_vs_quadrature(step=0.25)
+    # the complement, in its own lower tail down to below 1e-200
+    complement = check_marcum_complement_vs_quadrature()
     # the check holds the grid to 1e-10; the axis identities
     # Q1(0, b) = exp(-b^2/2) and Q1(a, 0) = 1 are held tighter here
     grid = np.arange(0.0, 10.0 + 0.125, 0.25)
@@ -73,8 +76,9 @@ def test_criterion_3_marcum_oracle_equivalence():
         edge_worst = max(edge_worst, abs(marcum_q1(0.0, float(b)) - ref) / ref)
     for a in grid:
         edge_worst = max(edge_worst, abs(marcum_q1(float(a), 0.0) - 1.0))
-    _report(3, "Marcum Q1 oracle equivalence", result.passed and edge_worst <= 1e-12,
-            f"{result.line()}; axis worst {edge_worst:.2e} (limit 1e-12)")
+    _report(3, "Marcum Q1 oracle equivalence",
+            result.passed and complement.passed and edge_worst <= 1e-12,
+            f"{result.line()}; {complement.line()}; axis worst {edge_worst:.2e} (limit 1e-12)")
 
 
 def test_criterion_4_ls_estimator_statistics():

@@ -16,7 +16,7 @@ from backscatter_auth.channel import (
     residual_distance,
 )
 from backscatter_auth.errors import ConfigurationError, ParameterError
-from backscatter_auth.rng import RngHandle
+from backscatter_auth.rng import RngHandle, sample_complex_normal_array
 
 
 def _reader(h_tx=1 + 0j, h_rx=1 + 0j):
@@ -92,13 +92,22 @@ class TestMakeLink:
         reader = _reader(h_tx=2 + 0j, h_rx=1 + 0j)
         tag = _tag(h_tx=1 + 0j, h_rx=3 + 0j)
         fading = RayleighFadingChannel(1.0)
-        rng = RngHandle(2_024)
+        # make_link draws the forward then the reverse gain, each one
+        # interleaved (re, im) pair, so one (n, 2) array draw from the same
+        # stream holds the gains of n successive links
+        gains = sample_complex_normal_array(RngHandle(2_024), 0j, fading.variance, (n, 2))
+        h_tr = reader.h_tx * gains[:, 0] * tag.h_rx
+        h_rt = tag.h_tx * gains[:, 1] * reader.h_rx
+        # the textbook product, rounded as Python's complex multiply rounds
+        # it (numpy's complex array multiply may fuse and differ in the last bit)
         h_res = np.empty(n, dtype=np.complex128)
-        h_tr = np.empty(n, dtype=np.complex128)
-        for i in range(n):
-            link = make_link(reader, tag, fading, fading, rng)
-            h_res[i] = link.h_res
-            h_tr[i] = link.h_tr
+        h_res.real = h_tr.real * h_rt.real - h_tr.imag * h_rt.imag
+        h_res.imag = h_tr.real * h_rt.imag + h_tr.imag * h_rt.real
+
+        rng = RngHandle(2_024)
+        links = [make_link(reader, tag, fading, fading, rng) for _ in range(10_000)]
+        np.testing.assert_array_equal(h_tr[:10_000], [link.h_tr for link in links])
+        np.testing.assert_array_equal(h_res[:10_000], [link.h_res for link in links])
 
         # h_res is a product of two independent zero-mean draws: mean 0 with
         # per-component variance (|2*3|^2 * 1) * (|1*1|^2 * 1) / 2 per factor pair

@@ -196,6 +196,9 @@ class TestValidateCommand:
         assert report["passed"] is True
         names = [c["name"] for c in report["checks"]]
         assert "scale-convention mutation rejected" in names
+        assert "marcum_q1c vs lower-tail quadrature" in names
+        seconds = [c["seconds"] for c in report["checks"]]
+        assert all(isinstance(t, float) and t > 0.0 for t in seconds)
 
 
 class TestAuthCommand:

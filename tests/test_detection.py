@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from backscatter_auth.detection import (
     AuthDecision,
     DetectorConfig,
+    analytic_pd,
     analytic_pfa,
     analytic_pmd,
     authenticate,
@@ -18,6 +19,7 @@ from backscatter_auth.detection import (
 from backscatter_auth.errors import ParameterError
 from backscatter_auth.estimation import FingerprintEstimate
 from backscatter_auth.rng import RngHandle, sample_complex_normal_array
+from backscatter_auth.validation import marcum_q1c_oracle
 
 ROUNDTRIP_RTOL = 1e-12
 
@@ -89,6 +91,14 @@ class TestAnalyticPmd:
         p_hat = float(np.mean(stats < delta))
         assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
+    def test_strong_attacker_tail_kept(self):
+        # regression: 1 - Q1 subtracted from 1 twice read 0.0 here
+        delta = design_threshold(0.01, 0.1)
+        pmd = analytic_pmd(3.0, delta, 0.1)
+        assert pmd == pytest.approx(7.0634230461e-26, rel=1e-10, abs=0.0)
+        s = math.sqrt(0.05)
+        assert pmd == pytest.approx(marcum_q1c_oracle(3.0 / s, delta / s), rel=1e-10, abs=0.0)
+
     def test_strictly_better_with_lower_variance(self):
         # receiver quality ordering for fixed target pfa and offset
         variances = [1.0, 0.3162, 0.1, 0.0316]
@@ -103,6 +113,25 @@ class TestAnalyticPmd:
         delta = design_threshold(0.1, v)
         pmds = [analytic_pmd(mu, delta, v) for mu in (0.25, 0.5, 1.0, 2.0)]
         assert all(b < a for a, b in zip(pmds, pmds[1:]))
+
+
+class TestAnalyticPd:
+    def test_zero_distance_equals_pfa(self):
+        for pfa in (1e-12, 0.01, 0.1, 0.5):
+            delta = design_threshold(pfa, 0.3)
+            assert analytic_pd(0.0, delta, 0.3) == pytest.approx(pfa, rel=1e-13, abs=0.0)
+
+    def test_complements_pmd(self):
+        v = 0.3162
+        for mu in (0.0, 0.25, 1.0, 2.0):
+            for pfa in (0.01, 0.1, 0.5):
+                delta = design_threshold(pfa, v)
+                assert analytic_pd(mu, delta, v) + analytic_pmd(mu, delta, v) == pytest.approx(
+                    1.0, abs=1e-15)
+
+    def test_rejects_bad_variance(self):
+        with pytest.raises(ParameterError):
+            analytic_pd(1.0, 0.5, 0.0)
 
 
 class TestAuthenticate:

@@ -168,6 +168,29 @@ class TestRocAnalytic:
             assert point.kind is RocKind.ANALYTIC
             assert point.stderr == 0.0
 
+    def test_chance_line_deep_in_the_tail(self):
+        # regression: pd as 1 - (1 - Q1) read 0.0 at pfa 1e-20 and lost 4.5e-12
+        # relative at 1e-5; read from Q1 directly it stays relatively exact, up
+        # to the threshold design's own rounding, which exp(-b^2/2) amplifies
+        # by |ln pfa|
+        grid = tuple(10.0 ** -k for k in (300, 250, 200, 100, 50, 20, 10, 5, 2, 1))
+        for sinr_db in (0.0, 5.0, 10.0):
+            curve = roc_analytic(_config(sinr_db=sinr_db, mu_mag=0.0, pfa_grid=grid))
+            for point in curve.points:
+                tol = 1e-14 * max(1.0, -math.log(point.pfa))
+                assert point.pd == pytest.approx(point.pfa, rel=tol, abs=0.0)
+
+    def test_one_marcum_call_per_point(self, monkeypatch):
+        # through the special module's namespace, so a caller that swaps
+        # special.marcum_q1 (a tracer, say) sees every analytic point
+        from backscatter_auth import special
+
+        calls = []
+        q1 = special.marcum_q1
+        monkeypatch.setattr(special, "marcum_q1", lambda a, b: calls.append(a) or q1(a, b))
+        roc_analytic(_config(pfa_grid=GRID_50))
+        assert len(calls) == len(GRID_50)
+
     def test_monotone_in_pfa(self):
         curve = roc_analytic(_config(pfa_grid=GRID_50))
         pds = [p.pd for p in curve.points]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backscatter_auth import special
 from backscatter_auth.errors import ParameterError
 from backscatter_auth.rng import RngHandle, sample_complex_normal_array
 from backscatter_auth.special import (
@@ -19,6 +20,7 @@ from backscatter_auth.special import (
     bessel_i0,
     bessel_i0_scaled,
     marcum_q1,
+    marcum_q1c,
     rayleigh_tail,
     rice_cdf,
 )
@@ -26,6 +28,7 @@ from backscatter_auth.validation import (
     bessel_i0_oracle,
     bessel_i0_scaled_oracle,
     marcum_q1_oracle,
+    marcum_q1c_oracle,
 )
 
 I0_RTOL = 1e-12        # certified domain [0, 700]
@@ -77,7 +80,7 @@ class TestMarcumQ1:
 
     @pytest.mark.parametrize("b", [0.25, 1.0, 3.0, 10.0])
     def test_rayleigh_edge(self, b):
-        assert marcum_q1(0.0, b) == pytest.approx(math.exp(-0.5 * b * b), rel=EDGE_RTOL)
+        assert marcum_q1(0.0, b) == pytest.approx(math.exp(-0.5 * b * b), rel=EDGE_RTOL, abs=0.0)
 
     def test_rayleigh_edge_frozen(self):
         # exp(-0.5) = 0.6065306597126334
@@ -90,19 +93,19 @@ class TestMarcumQ1:
 
     @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 4.0), (7.0, 2.0), (9.75, 9.5)])
     def test_spot_values_vs_oracle(self, a, b):
-        assert marcum_q1(a, b) == pytest.approx(marcum_q1_oracle(a, b), rel=MARCUM_RTOL)
+        assert marcum_q1(a, b) == pytest.approx(marcum_q1_oracle(a, b), rel=MARCUM_RTOL, abs=0.0)
 
     @pytest.mark.parametrize("a,b", [(20.0, 50.0), (50.0, 20.0), (50.0, 50.0), (35.0, 40.0)])
     def test_large_arguments_vs_oracle(self, a, b):
         # far outside the dense grid; covers the log-domain windowed summation
-        assert marcum_q1(a, b) == pytest.approx(marcum_q1_oracle(a, b), rel=1e-9)
+        assert marcum_q1(a, b) == pytest.approx(marcum_q1_oracle(a, b), rel=1e-9, abs=0.0)
 
     def test_deep_tail_recurrence_seeding(self):
         # regression: the pmf recurrence once inherited the garbage relative
         # error of a denormal exp() seed, inflating this value by ~53%;
         # reference from an 80-digit evaluation of the mixture series
         assert marcum_q1(12.63843389762282, 47.39492897379063) == pytest.approx(
-            1.0711753108209570e-264, rel=1e-12)
+            1.0711753108209570e-264, rel=1e-12, abs=0.0)
 
     def test_randomized_stress_vs_oracle(self):
         rng = np.random.default_rng(20_250_101)
@@ -146,6 +149,75 @@ class TestMarcumQ1:
         q = marcum_q1(a, b)
         assert 0.0 <= q <= 1.0
         assert marcum_q1(a, b + 0.5) <= q + 1e-14
+
+
+class TestMarcumQ1c:
+    def test_complements_q1(self):
+        grid = np.arange(0.0, 10.5, 0.5)
+        for a in grid:
+            for b in grid:
+                total = marcum_q1(float(a), float(b)) + marcum_q1c(float(a), float(b))
+                assert total == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("a,b", [(3.0, 0.5), (12.0, 11.0), (2.0, 3.0), (20.0, 2.0),
+                                     (40.0, 10.0)])
+    def test_spot_values_vs_oracle(self, a, b):
+        assert marcum_q1c(a, b) == pytest.approx(marcum_q1c_oracle(a, b), rel=MARCUM_RTOL, abs=0.0)
+
+    def test_lower_tail_kept_where_one_minus_q1_reads_zero(self):
+        # oracle: 1.0975243136280260e-89
+        assert 1.0 - marcum_q1(20.0, 0.1) == 0.0
+        assert marcum_q1c(20.0, 0.1) == pytest.approx(1.0975243136280260e-89,
+                                                      rel=MARCUM_RTOL, abs=0.0)
+
+    def test_rayleigh_edge_small_b(self):
+        # 1 - exp(-b^2/2) = b^2/2 - b^4/8 + ... at b = 1e-5
+        assert marcum_q1c(0.0, 1e-5) == pytest.approx(5e-11 - 1.25e-21, rel=EDGE_RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("a,b", [(-0.1, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.inf)])
+    def test_rejects_bad_arguments(self, a, b):
+        with pytest.raises(ParameterError):
+            marcum_q1c(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 60.0), st.floats(0.0, 60.0))
+    def test_smaller_side_below_the_cut_off_bound(self, a, b):
+        # the bound the underflow cut-off rests on: min(Q1, 1 - Q1) <= exp(-(a-b)^2/2)
+        smaller = marcum_q1(a, b) if b > a else marcum_q1c(a, b)
+        assert smaller <= math.exp(-0.5 * (a - b) ** 2) * (1.0 + 1e-12)
+
+
+class TestMarcumCutoff:
+    @pytest.fixture
+    def no_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Marcum mixture summed past the underflow cut-off")
+
+        monkeypatch.setattr(special, "_marcum_mixture_sum", refuse)
+
+    @pytest.mark.parametrize("a,b,q", [(3577.7, 3.03, 1.0), (57.0, 3.03, 1.0),
+                                       (1.0, 45.0, 0.0), (0.5, 39.2, 0.0)])
+    def test_exact_and_unsummed_past_the_cut_off(self, no_sum, a, b, q):
+        assert marcum_q1(a, b) == q
+        assert marcum_q1c(a, b) == 1.0 - q
+        # the smaller side's quadrature underflows to zero as well
+        smaller_oracle = marcum_q1c_oracle if q == 1.0 else marcum_q1_oracle
+        assert smaller_oracle(a, b) == 0.0
+
+    @pytest.mark.parametrize("a,b", [(40.0, 1.5), (1.0, 39.5)])
+    def test_just_inside_the_cut_off_still_sums(self, monkeypatch, a, b):
+        assert abs(a - b) == 38.5
+        calls = []
+        summed = special._marcum_mixture_sum
+
+        def counted(*args):
+            calls.append(args)
+            return summed(*args)
+
+        monkeypatch.setattr(special, "_marcum_mixture_sum", counted)
+        marcum_q1(a, b)
+        marcum_q1c(a, b)
+        assert len(calls) == 2
 
 
 class TestRayleighTail:

@@ -8,11 +8,13 @@ import pytest
 from backscatter_auth.validation import (
     bessel_i0_oracle,
     bessel_i0_scaled_oracle,
+    check_marcum_complement_vs_quadrature,
     check_marcum_vs_quadrature,
     check_scale_convention_mutation,
     ks_critical,
     ks_statistic,
     marcum_q1_oracle,
+    marcum_q1c_oracle,
     run_all,
 )
 
@@ -30,6 +32,27 @@ class TestOracles:
 
     def test_marcum_oracle_full_support(self):
         assert marcum_q1_oracle(1.5, 1e-12) == pytest.approx(1.0, rel=1e-11)
+
+    def test_complement_oracle_closed_form_edge(self):
+        # 1 - exp(-b^2/2), integrated over [0, b] rather than subtracted
+        for b in (1e-3, 0.5, 2.0, 5.0):
+            assert marcum_q1c_oracle(0.0, b) == pytest.approx(
+                -math.expm1(-0.5 * b * b), rel=1e-11, abs=0.0)
+
+    def test_oracles_partition_unity(self):
+        for a, b in [(0.5, 1.0), (3.0, 2.0), (10.0, 12.0)]:
+            assert marcum_q1_oracle(a, b) + marcum_q1c_oracle(a, b) == pytest.approx(
+                1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(3.0, 0.5), (8.0, 1.0), (12.0, 11.0), (2.0, 3.0)])
+    def test_complement_oracle_vs_noncentral_chi_square(self, a, b):
+        # scipy's ncx2.cdf is a cross-check only where it is far from
+        # underflow: it reads 0.0 at (20, 0.1), where the value is 1.1e-89
+        from scipy.stats import ncx2
+
+        ref = float(ncx2.cdf(b * b, 2, a * a))
+        assert ref >= 1e-60
+        assert marcum_q1c_oracle(a, b) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 class TestKs:
@@ -50,15 +73,31 @@ class TestBattery:
     def test_fast_battery_passes(self):
         report = run_all(fast=True, seed=2024)
         assert report.passed
-        assert len(report.checks) == 8
+        assert len(report.checks) == 9
         as_dict = report.as_dict()
         assert as_dict["passed"] is True
         assert all(isinstance(c["observed"], float) for c in as_dict["checks"])
+        assert all(c["seconds"] > 0.0 for c in as_dict["checks"])
 
     def test_marcum_check_coarse(self):
         result = check_marcum_vs_quadrature(step=2.0)
         assert result.passed
         assert result.observed <= 1e-12
+
+    def test_complement_check_coarse(self):
+        result = check_marcum_complement_vs_quadrature(step=5.0)
+        assert result.passed
+        assert result.observed <= 1e-12
+
+    def test_complement_check_rejects_one_minus_q1(self, monkeypatch):
+        # the old composition 1 - marcum_q1 loses the whole lower tail
+        from backscatter_auth import special
+
+        q1 = special.marcum_q1
+        monkeypatch.setattr(special, "marcum_q1c", lambda a, b: 1.0 - q1(a, b))
+        result = check_marcum_complement_vs_quadrature(step=5.0)
+        assert not result.passed
+        assert result.observed == 1.0
 
     def test_mutation_power(self):
         # the deliberately wrong scale convention must be flagged as wrong
