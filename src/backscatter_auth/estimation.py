@@ -8,6 +8,7 @@ total_noise_variance / (eta^2 p_r ||x||^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,16 +26,21 @@ class FingerprintEstimate:
     error_variance: float
 
 
-def effective_training(symbols: np.ndarray, tx: TxParams) -> tuple[np.ndarray, float]:
-    """Training signal as seen through the forward gain, and its energy.
+@functools.lru_cache(maxsize=32)
+def effective_training(challenge: SignalFrame, tx: TxParams) -> tuple[np.ndarray, float]:
+    """Conjugated training signal as seen through the forward gain, and its
+    energy: the LS projection is sum(conj(x_eff) * y) / energy.
 
-    Shared by the scalar estimator and the batched full-frame path
+    Computed once per (challenge, tx) and returned write-protected.  Shared
+    by the scalar estimator and the batched full-frame path
     (``experiments.simulate_estimates``) so the two stay arithmetically
     identical.
     """
-    x_eff = (tx.eta * math.sqrt(tx.p_r)) * symbols
+    x_eff = (tx.eta * math.sqrt(tx.p_r)) * challenge.symbols
     energy = float(np.sum(x_eff.real**2 + x_eff.imag**2))
-    return x_eff, energy
+    x_conj = np.conj(x_eff)
+    x_conj.setflags(write=False)
+    return x_conj, energy
 
 
 def estimation_error_variance(tx: TxParams, noise: LinkNoiseParams, challenge_energy: float) -> float:
@@ -50,13 +56,18 @@ def ls_estimate(
     tx: TxParams,
     noise: LinkNoiseParams,
 ) -> FingerprintEstimate:
-    """Scalar least-squares fingerprint estimate from one frame pair."""
+    """Scalar least-squares fingerprint estimate from one frame pair.
+
+    The challenge's conjugated effective training, its energy and the error
+    variance's frame energy are computed once per (challenge, tx); only the
+    projection of the response runs per call.
+    """
     x = challenge.symbols
     y = response.symbols
     if x.size != y.size:
         raise ShapeError(f"frame length mismatch: challenge {x.size}, response {y.size}")
-    x_eff, energy = effective_training(x, tx)
-    value = complex(np.sum(np.conj(x_eff) * y) / energy)
+    x_conj, energy = effective_training(challenge, tx)
+    value = complex((x_conj * y).sum() / energy)
     return FingerprintEstimate(
         value=value,
         error_variance=estimation_error_variance(tx, noise, challenge.energy),

@@ -244,8 +244,11 @@ def scenario_for(config: ExperimentConfig) -> Scenario:
 def run_trial(scenario: Scenario, link: LinkRealization, target_pfa: float,
               rng: RngHandle):
     """One full challenge-response-estimate-decide episode: the reference
-    per-trial path.  `simulate_estimates` is bit-identical to a loop of it;
-    the engine's kernel matches it in distribution only."""
+    per-trial path.  The challenge's invariants (the shared all-ones frame,
+    its energy and its effective training) are computed once per
+    (n_train, tx), not per episode, and `simulate_estimates` reads the same
+    cached values, so it stays bit-identical to a loop of this function; the
+    engine's kernel matches it in distribution only."""
     challenge = SignalFrame.all_ones(scenario.n_train)
     response = exchange(challenge, link, scenario.tx, scenario.noise, rng)
     estimate = ls_estimate(challenge, response, scenario.tx, scenario.noise)
@@ -273,8 +276,8 @@ def simulate_estimates(
         rng, 0j, scenario.noise.total_variance, (int(trials), x.size)
     )
     y = gain * x + w
-    x_eff, energy = effective_training(x, scenario.tx)
-    return np.sum(np.conj(x_eff) * y, axis=1) / energy
+    x_conj, energy = effective_training(challenge, scenario.tx)
+    return (x_conj * y).sum(axis=1) / energy
 
 
 def simulate_statistics(

@@ -10,7 +10,9 @@ exists to demonstrate the two are statistically identical.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +22,17 @@ from .errors import ParameterError, ShapeError
 from .rng import RngHandle, sample_complex_normal_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalFrame:
-    """Ordered complex baseband symbols; never empty, never zero-energy."""
+    """Ordered complex baseband symbols; never empty, never zero-energy.
+
+    A frame is immutable (its symbols are write-protected), so it compares
+    and hashes by identity and caches what is derived from it: its energy
+    here, its effective training per ``TxParams`` in ``estimation``.  The
+    default challenge ``all_ones(n)`` is one shared frame per length, so a
+    challenge's invariants are computed once per (n_train, tx), not per
+    episode.
+    """
 
     symbols: np.ndarray
 
@@ -33,7 +43,7 @@ class SignalFrame:
             raise ShapeError(f"frame must be a nonempty 1-D sequence, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ParameterError("frame contains non-finite symbols")
-        if not np.any(arr):
+        if not arr.any():
             raise ParameterError("all-zero training frame (zero energy)")
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
@@ -41,17 +51,24 @@ class SignalFrame:
     def __len__(self) -> int:
         return self.symbols.size
 
-    @property
+    @functools.cached_property
     def energy(self) -> float:
         """Squared l2 norm of the frame."""
         return float(np.vdot(self.symbols, self.symbols).real)
 
     @classmethod
     def all_ones(cls, n: int) -> "SignalFrame":
-        """Unit-modulus training frame of length n (the default challenge)."""
+        """Unit-modulus training frame of length n (the default challenge):
+        one shared, write-protected frame per length."""
+        n = operator.index(n)  # 8.0 must raise, not hit the cache entry for 8
         if n < 1:
             raise ParameterError(f"frame length must be >= 1, got {n}")
-        return cls(np.ones(n, dtype=np.complex128))
+        return _all_ones(n)
+
+
+@functools.lru_cache(maxsize=32)
+def _all_ones(n: int) -> SignalFrame:
+    return SignalFrame(np.ones(n, dtype=np.complex128))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ these.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -356,21 +357,36 @@ def check_estimator_statistics(trials: int = 100_000, seed: int = 20243) -> Chec
     )
 
 
+def _kernel_check_scenario() -> experiments.Scenario:
+    return experiments.canonical_scenario(sinr_db=5.0, n_train=8, mu_mag=0.5)
+
+
+@functools.lru_cache(maxsize=4)
+def _frame_reference(reference: int, seed: int, h: int) -> np.ndarray:
+    """Full-frame LS statistics under hypothesis h, drawn once per
+    (size, seed, h): the kernel check and its mutation twin test against
+    the same reference.  Returned write-protected."""
+    scenario = _kernel_check_scenario()
+    est = experiments.simulate_estimates(scenario, scenario.link_for(h), reference,
+                                         RngHandle(seed, (h, 0)))
+    frame = detection.fingerprint_distance(est, scenario.ground_truth)
+    frame.setflags(write=False)
+    return frame
+
+
 def _kernel_deviation(trials: int, seed: int, variance_factor: float) -> tuple[float, float, str]:
     """Worst two-sample KS statistic, over H0 and H1, between trials/2
     full-frame LS statistics and 10*trials engine-kernel statistics whose
     variance is scaled by ``variance_factor``; with the 1% critical value."""
-    scenario = experiments.canonical_scenario(sinr_db=5.0, n_train=8, mu_mag=0.5)
+    scenario = _kernel_check_scenario()
     kernel_scenario = replace(scenario, est_variance=variance_factor * scenario.est_variance)
     reference, draws = max(1, trials // 2), 10 * trials
     worst = 0.0
     worst_at = ""
-    for h, link in enumerate((scenario.legit_link, scenario.attack_link)):
-        est = experiments.simulate_estimates(scenario, link, reference, RngHandle(seed, (h, 0)))
-        frame = detection.fingerprint_distance(est, scenario.ground_truth)
-        kernel = experiments.simulate_statistics(kernel_scenario, link, draws,
+    for h in (0, 1):
+        kernel = experiments.simulate_statistics(kernel_scenario, scenario.link_for(h), draws,
                                                  RngHandle(seed, (h, 1)))
-        ks = ks_statistic(frame, kernel)
+        ks = ks_statistic(_frame_reference(reference, seed, h), kernel)
         if ks > worst:
             worst, worst_at = ks, f"H{h}"
     return worst, ks_critical(0.01, reference, draws), worst_at

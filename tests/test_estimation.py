@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from backscatter_auth.errors import ShapeError
-from backscatter_auth.estimation import ls_estimate
+from backscatter_auth.estimation import effective_training, ls_estimate
 from backscatter_auth.experiments import canonical_scenario, simulate_estimates
 from backscatter_auth.rng import RngHandle
 from backscatter_auth.signaling import (
@@ -80,6 +80,28 @@ class TestLsEstimate:
         y = exchange(x, link, tx, NOISELESS, rng)
         est = ls_estimate(x, y, tx, NOISELESS)
         assert est.value == pytest.approx(link.h_res, rel=1e-12)
+
+
+class TestChallengeInvariantsCache:
+    def test_cache_key_includes_tx(self):
+        # one challenge frame under two transmit settings, interleaved: each
+        # estimate must equal the uncached LS formula for its own tx, bit for bit
+        x = SignalFrame(np.array([1.0, 1.0j, -0.5 + 0.25j, 2.0 - 1.0j]))
+        noise = LinkNoiseParams(sigma2_r=0.3, sigma2_si_r=0.1)
+        link = LinkRealization(h_tr=1.3 - 0.7j, h_rt=0.6 + 0.8j)
+        rng = RngHandle(8)
+        for tx in (TxParams(2.0, 1.5), TxParams(0.5, 2.0), TxParams(2.0, 1.5)):
+            y = exchange(x, link, tx, noise, rng)
+            est = ls_estimate(x, y, tx, noise)
+            x_eff = (tx.eta * math.sqrt(tx.p_r)) * x.symbols
+            energy = float(np.sum(x_eff.real**2 + x_eff.imag**2))
+            assert est.value == complex(np.sum(np.conj(x_eff) * y.symbols) / energy)
+            assert est.error_variance == noise.total_variance / (tx.eta**2 * tx.p_r * x.energy)
+
+    def test_cached_training_is_write_protected(self):
+        x_conj, _ = effective_training(SignalFrame.all_ones(4), TxParams(1.0, 2.0))
+        with pytest.raises(ValueError):
+            x_conj[0] = 0j
 
 
 class TestEstimatorStatistics:

@@ -1,11 +1,20 @@
 """Monte Carlo engine and ROC generation contracts."""
 
+import hashlib
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from backscatter_auth.channel import residual_distance
+from backscatter_auth.channel import (
+    DeviceModel,
+    RayleighFadingChannel,
+    Role,
+    make_link,
+    residual_distance,
+)
 from backscatter_auth.detection import design_threshold, fingerprint_distance
 from backscatter_auth.errors import ConfigurationError, ParameterError
 from backscatter_auth.experiments import (
@@ -27,6 +36,7 @@ from backscatter_auth.experiments import (
 from backscatter_auth.rng import RngHandle
 
 GRID_50 = tuple(float(p) for p in np.linspace(0.01, 0.99, 50))
+EPISODES_DIGEST = "f52d86510ac453bfe5e9b1d661eb901a294c5987e01452334eb5940b41ba4570"
 
 
 def _config(**kw):
@@ -112,6 +122,30 @@ class TestEngineEquivalence:
             delta = design_threshold(0.1, scenario.est_variance)
             assert int(np.sum(batched >= delta)) == int(np.sum(~accepted))
 
+    def test_seeded_episodes_pinned(self):
+        # frozen digest of 2,000 run_trial episodes over fresh Rayleigh
+        # links, legitimate and malicious responders alternating; guards the
+        # per-authentication path (its stream use, the cached challenge
+        # invariants, the LS arithmetic and the decision) against drift
+        reader = DeviceModel(1 + 0j, 1 + 0j, Role.READER)
+        ltag = DeviceModel(0.9 + 0.2j, 1.1 - 0.1j, Role.LEGIT_TAG)
+        mtag = DeviceModel(1.2 - 0.3j, 0.8 + 0.4j, Role.MALICIOUS_TAG)
+        fading = RayleighFadingChannel(1.0)
+        digest = hashlib.sha256()
+        for n_train in (1, 16):
+            base = canonical_scenario(sinr_db=5.0, n_train=n_train, mu_mag=0.5)
+            rng = RngHandle(6, (n_train,))
+            for j in range(1000):
+                legit = make_link(reader, ltag, fading, fading, rng)
+                link = make_link(reader, mtag, fading, fading, rng) if j % 2 else legit
+                scenario = replace(base, legit_link=legit, attack_link=link)
+                estimate, decision = run_trial(scenario, link, 0.05, rng)
+                digest.update(struct.pack(
+                    "<4d?d", estimate.value.real, estimate.value.imag,
+                    estimate.error_variance, decision.statistic, decision.accepted,
+                    decision.threshold_used))
+        assert digest.hexdigest() == EPISODES_DIGEST
+
     @pytest.mark.parametrize("n_train", [1, 64])
     def test_kernel_draws_two_normals_per_trial(self, n_train):
         # the stream layout: one interleaved (re, im) pair per trial, so the
@@ -164,7 +198,7 @@ class TestRocAnalytic:
     def test_chance_line_at_zero_offset(self):
         curve = roc_analytic(_config(mu_mag=0.0, pfa_grid=GRID_50))
         for point in curve.points:
-            assert point.pd == pytest.approx(point.pfa, rel=1e-12)
+            assert point.pd == pytest.approx(point.pfa, rel=1e-12, abs=0.0)
             assert point.kind is RocKind.ANALYTIC
             assert point.stderr == 0.0
 
@@ -257,7 +291,7 @@ class TestSweepAttacker:
         curves = sweep_attacker(_config(pfa_grid=GRID_50), [0.0])
         assert len(curves) == 1
         for point in curves[0].points:
-            assert point.pd == pytest.approx(point.pfa, rel=1e-12)
+            assert point.pd == pytest.approx(point.pfa, rel=1e-12, abs=0.0)
 
     def test_larger_offset_dominates(self):
         curves = sweep_attacker(_config(pfa_grid=GRID_50), [0.5, 1.0, 2.0])

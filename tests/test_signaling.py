@@ -46,6 +46,27 @@ class TestSignalFrame:
         with pytest.raises(ValueError):
             frame.symbols[0] = 0.0
 
+    def test_all_ones_is_one_write_protected_frame_per_length(self):
+        # the default challenge is shared by every episode of that length,
+        # so no caller may change it in place
+        frame = SignalFrame.all_ones(5)
+        assert SignalFrame.all_ones(5) is frame
+        assert SignalFrame.all_ones(6) is not frame
+        assert not frame.symbols.flags.writeable
+        with pytest.raises(ValueError):
+            frame.symbols *= 2.0
+        with pytest.raises(ValueError):
+            np.copyto(frame.symbols, 0j)
+        with pytest.raises(AttributeError):
+            frame.energy = 0.0
+        np.testing.assert_array_equal(SignalFrame.all_ones(5).symbols, np.ones(5))
+        assert SignalFrame.all_ones(5).energy == 5.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_all_ones_rejects_nonpositive_length(self, n):
+        with pytest.raises(ParameterError):
+            SignalFrame.all_ones(n)
+
 
 class TestParams:
     def test_total_variance_is_the_sum(self):
