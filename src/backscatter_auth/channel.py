@@ -68,6 +68,10 @@ class RayleighFadingChannel:
 
 RfChannelSpec = FixedChannel | RayleighFadingChannel
 
+# bound once: make_link runs per episode, and each Role.X is an attribute lookup
+_READER = Role.READER
+_TAG_ROLES = (Role.LEGIT_TAG, Role.MALICIOUS_TAG)
+
 
 @dataclass(frozen=True)
 class LinkRealization:
@@ -90,9 +94,9 @@ def make_link(
 ) -> LinkRealization:
     """Compose reader->tag and tag->reader channels through the devices'
     chain gains and the propagation gains drawn from the RF specs."""
-    if reader.role is not Role.READER:
+    if reader.role is not _READER:
         raise ConfigurationError(f"reader argument has role {reader.role}")
-    if tag.role not in (Role.LEGIT_TAG, Role.MALICIOUS_TAG):
+    if tag.role not in _TAG_ROLES:
         raise ConfigurationError(f"tag argument has role {tag.role}")
     h_tr = reader.h_tx * forward_rf.realize(rng) * tag.h_rx
     h_rt = tag.h_tx * reverse_rf.realize(rng) * reader.h_rx

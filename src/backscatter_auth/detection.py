@@ -32,9 +32,27 @@ def fingerprint_distance(value, ground_truth):
 
     Evaluated as sqrt(re^2 + im^2) from elementary correctly-rounded ops, so
     the scalar decision path and the batched full-frame path produce
-    bit-identical statistics.  Accepts complex scalars or arrays.
+    bit-identical statistics.  Accepts complex scalars or arrays, served by
+    one of three paths that all give these same bits:
+
+    - a Python ``complex`` difference (one episode's decision): ``math.sqrt``,
+      correctly rounded like ``np.sqrt``;
+    - a C-contiguous complex128 array with at least one axis (the engine and
+      the full-frame path): the difference, which this function owns, is
+      squared in place through its float64 view, its interleaved halves are
+      added, and the square root is taken in place;
+    - anything else (numpy scalars, 0-d or strided arrays): the generic
+      expression.
     """
     d = value - ground_truth
+    if type(d) is complex:
+        return math.sqrt(d.real * d.real + d.imag * d.imag)
+    if (isinstance(d, np.ndarray) and d.dtype == np.complex128 and d.ndim > 0
+            and d.flags.c_contiguous):
+        parts = d.view(np.float64)
+        np.multiply(parts, parts, out=parts)
+        out = parts[..., 0::2] + parts[..., 1::2]
+        return np.sqrt(out, out=out)
     return np.sqrt(d.real * d.real + d.imag * d.imag)
 
 

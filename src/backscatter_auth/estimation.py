@@ -40,7 +40,7 @@ def effective_training(challenge: SignalFrame, tx: TxParams) -> tuple[np.ndarray
     energy = float(np.sum(x_eff.real**2 + x_eff.imag**2))
     x_conj = np.conj(x_eff)
     x_conj.setflags(write=False)
-    return x_conj, energy
+    return x_conj.view(), energy  # a view of a locked array cannot be unlocked
 
 
 def estimation_error_variance(tx: TxParams, noise: LinkNoiseParams, challenge_energy: float) -> float:

@@ -272,10 +272,10 @@ def simulate_estimates(
     challenge = SignalFrame.all_ones(scenario.n_train)
     x = challenge.symbols
     gain = response_gain(link, scenario.tx)
-    w = sample_complex_normal_array(
+    y = sample_complex_normal_array(
         rng, 0j, scenario.noise.total_variance, (int(trials), x.size)
     )
-    y = gain * x + w
+    y += gain * x  # the noise buffer takes the response in place, as in exchange
     x_conj, energy = effective_training(challenge, scenario.tx)
     return (x_conj * y).sum(axis=1) / energy
 

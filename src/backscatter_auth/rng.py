@@ -14,6 +14,9 @@ Complex draws consume the underlying generator as standard normals shaped
 numpy fills arrays in C order, a batched ``(trials, n, 2)`` draw consumes
 the stream exactly like ``trials`` successive ``(n, 2)`` draws, so the
 batched full-frame path is bit-identical to a loop of per-trial episodes.
+The array sampler reads that interleaved buffer in place as complex128
+(same memory layout) and applies the scale and the mean in place, so a draw
+allocates one array; the values equal ``mean + s*(re + 1j*im)`` bit for bit.
 The Monte Carlo engine draws one complex estimate per trial instead of the
 frame, so it consumes two standard normals per trial and matches the
 per-trial pipeline in distribution, not bit for bit.
@@ -92,9 +95,12 @@ def sample_complex_normal_array(
     shape = (size,) if isinstance(size, int) else tuple(size)
     if variance == 0.0:
         return np.full(shape, complex(mean), dtype=np.complex128)
-    z = rng.generator.standard_normal(shape + (2,))
-    s = math.sqrt(variance / 2.0)
-    return mean + s * (z[..., 0] + 1j * z[..., 1])
+    # a C-order (..., 2) float64 buffer has complex128's memory layout, so
+    # the draw is read in place as complex and scaled and shifted in place
+    z = rng.generator.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+    z *= math.sqrt(variance / 2.0)
+    z += mean
+    return z
 
 
 def _check_variance(variance: float) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,37 +24,41 @@ from .rng import RngHandle, sample_complex_normal_array
 
 @dataclass(frozen=True, eq=False)
 class SignalFrame:
-    """Ordered complex baseband symbols; never empty, never zero-energy.
+    """Ordered complex baseband symbols: nonempty, finite, not all zero.
 
     A frame is immutable (its symbols are write-protected), so it compares
-    and hashes by identity and caches what is derived from it: its energy
-    here, its effective training per ``TxParams`` in ``estimation``.  The
-    default challenge ``all_ones(n)`` is one shared frame per length, so a
-    challenge's invariants are computed once per (n_train, tx), not per
-    episode.
+    and hashes by identity and caches what is derived from it: its energy,
+    computed once with the frame's checks (0.0 where the squared norm
+    underflows, inf or NaN where it overflows), and its effective training
+    per ``TxParams`` in ``estimation``.  The default challenge
+    ``all_ones(n)`` is one shared frame per length, so a challenge's
+    invariants are computed once per (n_train, tx), not per episode.
     """
 
     symbols: np.ndarray
+    energy: float = field(init=False, repr=False)  # squared l2 norm of the frame
 
     def __post_init__(self):
         # private copy: freezing a caller-owned array would be a side effect
         arr = np.array(self.symbols, dtype=np.complex128, copy=True)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError(f"frame must be a nonempty 1-D sequence, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ParameterError("frame contains non-finite symbols")
-        if not arr.any():
-            raise ParameterError("all-zero training frame (zero energy)")
+        energy = float(np.vdot(arr, arr).real)
+        # a finite, nonzero energy proves the symbols finite and not all zero;
+        # only a frame whose energy overflows, underflows or is NaN needs the
+        # elementwise checks
+        if not 0.0 < energy < math.inf:
+            if not np.isfinite(arr).all():
+                raise ParameterError("frame contains non-finite symbols")
+            if not arr.any():
+                raise ParameterError("all-zero training frame (zero energy)")
         arr.setflags(write=False)
-        object.__setattr__(self, "symbols", arr)
+        # a view of the locked array cannot be made writable again
+        object.__setattr__(self, "symbols", arr.view())
+        object.__setattr__(self, "energy", energy)
 
     def __len__(self) -> int:
         return self.symbols.size
-
-    @functools.cached_property
-    def energy(self) -> float:
-        """Squared l2 norm of the frame."""
-        return float(np.vdot(self.symbols, self.symbols).real)
 
     @classmethod
     def all_ones(cls, n: int) -> "SignalFrame":
@@ -121,8 +125,9 @@ def exchange(
     """Consolidated response: y[n] = sqrt(p_r) * eta * h_res * x[n] + w[n],
     with w i.i.d. CN(0, total noise variance)."""
     x = challenge.symbols
-    w = sample_complex_normal_array(rng, 0j, noise.total_variance, x.size)
-    return SignalFrame(response_gain(link, tx) * x + w)
+    y = sample_complex_normal_array(rng, 0j, noise.total_variance, x.size)
+    y += response_gain(link, tx) * x
+    return SignalFrame(y)
 
 
 def exchange_expanded(

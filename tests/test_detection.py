@@ -15,6 +15,7 @@ from backscatter_auth.detection import (
     analytic_pmd,
     authenticate,
     design_threshold,
+    fingerprint_distance,
 )
 from backscatter_auth.errors import ParameterError
 from backscatter_auth.estimation import FingerprintEstimate
@@ -173,3 +174,46 @@ class TestAuthenticate:
     def test_decision_fields(self):
         decision = AuthDecision(statistic=0.5, accepted=False, threshold_used=0.3)
         assert decision.threshold_used == 0.3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestFingerprintDistance:
+    @staticmethod
+    def generic(value, ground_truth):
+        d = value - ground_truth
+        return np.sqrt(d.real * d.real + d.imag * d.imag)
+
+    @staticmethod
+    def draws():
+        # magnitudes from 1e-200 to 1e200, so squares underflow and overflow too
+        z = sample_complex_normal_array(RngHandle(17), 0j, 2.0, (24, 40))
+        scale = np.logspace(-200, 200, z.size).reshape(z.shape)
+        rng = np.random.default_rng(3)
+        return z * rng.permutation(scale.ravel()).reshape(z.shape)
+
+    @pytest.mark.parametrize("view", ["contiguous", "strided", "2-D", "2-D strided", "0-d"])
+    def test_array_paths_bit_equal_to_generic_formula(self, view):
+        z = self.draws()
+        value = {"contiguous": z.ravel(), "strided": z.ravel()[1::3], "2-D": z,
+                 "2-D strided": z[:, ::2], "0-d": z[3, 4:5].reshape(())}[view]
+        before = value.copy()
+        got = fingerprint_distance(value, 0.4 - 1.3j)
+        want = self.generic(value, 0.4 - 1.3j)
+        assert got.shape == want.shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert value.tobytes() == before.tobytes()  # the input is left alone
+
+    def test_array_ground_truth_is_left_alone(self):
+        truth = self.draws()[0]
+        before = truth.copy()
+        got = fingerprint_distance(np.complex128(1 - 1j), truth)
+        assert got.tobytes() == self.generic(np.complex128(1 - 1j), truth).tobytes()
+        assert truth.tobytes() == before.tobytes()
+
+    def test_scalar_paths_bit_equal_to_generic_formula(self):
+        for z in self.draws().ravel()[::7]:
+            want = float(self.generic(z, 0.4 - 1.3j))
+            got = fingerprint_distance(complex(z), 0.4 - 1.3j)
+            assert type(got) is float
+            assert got == want
+            assert fingerprint_distance(z, 0.4 - 1.3j) == want  # numpy scalar

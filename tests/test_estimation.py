@@ -103,6 +103,11 @@ class TestChallengeInvariantsCache:
         with pytest.raises(ValueError):
             x_conj[0] = 0j
 
+    def test_cached_training_cannot_be_unlocked(self):
+        x_conj, _ = effective_training(SignalFrame.all_ones(4), TxParams(1.0, 2.0))
+        with pytest.raises(ValueError):
+            x_conj.setflags(write=True)
+
 
 class TestEstimatorStatistics:
     def test_unbiased_with_predicted_variance(self):

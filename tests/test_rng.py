@@ -54,6 +54,36 @@ class TestReproducibility:
         assert z == arr[0]
 
 
+class TestArrayAssembly:
+    @staticmethod
+    def formula(rng, mean, variance, shape):
+        # the textbook assembly from the twin handle's raw interleaved normals
+        z = rng.generator.standard_normal(shape + (2,))
+        return mean + math.sqrt(variance / 2.0) * (z[..., 0] + 1j * z[..., 1])
+
+    @pytest.mark.parametrize("size", [1, 17, (3, 5), (2, 1, 4)])
+    @pytest.mark.parametrize("mean", [0j, 0.3 - 1.2j, -2.5 + 0j])
+    @pytest.mark.parametrize("variance", [1.0, 3.7, 1e-300])
+    def test_bit_equal_to_formula(self, size, mean, variance):
+        got = sample_complex_normal_array(RngHandle(21, (4,)), mean, variance, size)
+        shape = (size,) if isinstance(size, int) else size
+        want = self.formula(RngHandle(21, (4,)), mean, variance, shape)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [6, (2, 3)])
+    @pytest.mark.parametrize("variance", [0.0, 0.5])
+    def test_result_is_contiguous_and_writable(self, size, variance):
+        z = sample_complex_normal_array(RngHandle(2), 1 - 1j, variance, size)
+        assert z.dtype == np.complex128
+        assert z.flags.c_contiguous and z.flags.writeable
+        z += 1.0  # the caller owns it
+
+    def test_zero_variance_is_the_mean_exactly(self):
+        z = sample_complex_normal_array(RngHandle(2), -0.25 + 4j, 0.0, (2, 3))
+        assert z.tobytes() == np.full((2, 3), -0.25 + 4j).tobytes()
+
+
 class TestDistribution:
     def test_zero_variance_returns_mean_exactly(self):
         rng = RngHandle(0)

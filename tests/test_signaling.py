@@ -67,6 +67,37 @@ class TestSignalFrame:
         with pytest.raises(ParameterError):
             SignalFrame.all_ones(n)
 
+    def test_shared_frame_cannot_be_unlocked(self):
+        frame = SignalFrame.all_ones(7)
+        with pytest.raises(ValueError):
+            frame.symbols.setflags(write=True)
+        with pytest.raises(ValueError):
+            SignalFrame(np.array([1.0, 2.0j])).symbols.setflags(write=True)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_finite_frame_whose_energy_overflows_or_underflows_is_accepted(self, scale):
+        symbols = scale * np.array([1.0, -0.5j, 0.25 + 0.75j])
+        frame = SignalFrame(symbols)
+        np.testing.assert_array_equal(frame.symbols, symbols)
+        # the squared norm is 0.0 or not finite here (vdot reads NaN on
+        # overflow), so the elementwise checks decided; energy is still vdot's
+        assert not 0.0 < frame.energy < math.inf
+        np.testing.assert_equal(frame.energy, float(np.vdot(symbols, symbols).real))
+
+    def test_energy_is_the_vdot_value(self):
+        symbols = np.array([0.3 - 1.1j, 2.0 + 0j, -0.7 + 0.2j])
+        assert SignalFrame(symbols).energy == float(np.vdot(symbols, symbols).real)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                     complex(math.inf, 1.0)])
+    def test_non_finite_message(self, bad):
+        with pytest.raises(ParameterError, match="^frame contains non-finite symbols$"):
+            SignalFrame(np.array([1.0, bad, 1e-170]))
+
+    def test_all_zero_message(self):
+        with pytest.raises(ParameterError, match=r"^all-zero training frame \(zero energy\)$"):
+            SignalFrame(np.zeros(3, dtype=complex))
+
 
 class TestParams:
     def test_total_variance_is_the_sum(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from backscatter_auth.validation import (
+    _frame_reference,
     bessel_i0_oracle,
     bessel_i0_scaled_oracle,
     check_marcum_complement_vs_quadrature,
@@ -63,6 +64,33 @@ class TestKs:
     def test_disjoint_samples_statistic_one(self):
         assert ks_statistic(np.zeros(50), np.ones(50)) == 1.0
 
+    @staticmethod
+    def grid_formula(sample_a, sample_b):
+        # both empirical CDFs evaluated at every point of the pooled sample
+        a = np.sort(np.asarray(sample_a, dtype=float))
+        b = np.sort(np.asarray(sample_b, dtype=float))
+        grid = np.concatenate([a, b])
+        cdf_a = np.searchsorted(a, grid, side="right") / a.size
+        cdf_b = np.searchsorted(b, grid, side="right") / b.size
+        return float(np.abs(cdf_a - cdf_b).max())
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (7, 7), (13, 200), (500, 37), (3000, 60000)])
+    def test_merge_equals_grid_formula_untied(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        a = rng.standard_normal(n)
+        b = 1.1 * rng.standard_normal(m) + 0.05
+        assert ks_statistic(a, b) == self.grid_formula(a, b)
+        assert ks_statistic(b, a) == self.grid_formula(b, a)
+
+    @pytest.mark.parametrize("n,m", [(5, 5), (20, 3), (64, 400), (1000, 777)])
+    def test_merge_equals_grid_formula_tied(self, n, m):
+        # few distinct values, so ties run within and across the samples
+        rng = np.random.default_rng(n + m)
+        a = rng.integers(0, 6, n).astype(float)
+        b = rng.integers(1, 8, m).astype(float)
+        assert ks_statistic(a, b) == self.grid_formula(a, b)
+        assert ks_statistic(a, a[::-1]) == 0.0
+
     def test_critical_value_formula(self):
         # c(0.01) = sqrt(-ln(0.005)/2) = 1.6276236307187293
         assert ks_critical(0.01, 1000, 1000) == pytest.approx(
@@ -70,6 +98,15 @@ class TestKs:
 
 
 class TestBattery:
+    def test_shared_frame_reference_cannot_be_unlocked(self):
+        # the kernel check and its mutation twin read one cached reference
+        reference = _frame_reference(64, 5, 1)
+        assert _frame_reference(64, 5, 1) is reference
+        with pytest.raises(ValueError):
+            reference.setflags(write=True)
+        with pytest.raises(ValueError):
+            reference[0] = 0.0
+
     def test_fast_battery_passes(self):
         report = run_all(fast=True, seed=2024)
         assert report.passed
