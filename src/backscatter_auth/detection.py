@@ -78,10 +78,14 @@ def analytic_pfa(threshold: float, est_variance: float) -> float:
     return special.rayleigh_tail(threshold, _rice_scale(est_variance))
 
 
-def analytic_pd(mu_mag: float, threshold: float, est_variance: float) -> float:
-    """Detection probability Q1(mu/s, threshold/s), s = sqrt(v/2)."""
+def analytic_pd(mu_mag, threshold, est_variance: float):
+    """Detection probability Q1(mu/s, threshold/s), s = sqrt(v/2).
+
+    mu_mag and threshold broadcast against each other, and the whole grid
+    is one ``special.marcum_q1_grid`` call; scalars give a float."""
     s = _rice_scale(est_variance)
-    return special.marcum_q1(mu_mag / s, threshold / s)
+    pd = special.marcum_q1_grid(np.divide(mu_mag, s), np.divide(threshold, s))[0]
+    return float(pd) if pd.ndim == 0 else pd
 
 
 def analytic_pmd(mu_mag: float, threshold: float, est_variance: float) -> float:

@@ -356,15 +356,9 @@ def empirical_rejection_rates(
 
 
 def roc_analytic(config: ExperimentConfig) -> RocCurve:
-    """Closed-form ROC: pd = Q1 at the threshold designed for each grid pfa,
-    read directly rather than as 1 - missed-detection probability."""
-    v = config.est_variance
-    points = []
-    for pfa in config.pfa_grid:
-        delta = design_threshold(pfa, v)
-        pd = analytic_pd(config.mu_mag, delta, v)
-        points.append(RocPoint(pfa=pfa, pd=pd, kind=RocKind.ANALYTIC, stderr=0.0))
-    return RocCurve(points=tuple(points), config_digest=config.digest())
+    """Closed-form ROC at the config's fingerprint distance: the
+    one-distance case of ``sweep_attacker``."""
+    return sweep_attacker(config, [config.mu_mag])[0]
 
 
 def roc_empirical(config: ExperimentConfig) -> RocCurve:
@@ -384,8 +378,21 @@ def roc_empirical(config: ExperimentConfig) -> RocCurve:
 
 def sweep_attacker(base: ExperimentConfig, mu_grid) -> list[RocCurve]:
     """Analytic ROC curves over attacker fingerprint distances, SINR held;
-    each distance is checked as the config's mu_mag."""
-    mu_values = list(mu_grid)
-    if not mu_values:
+    each distance is checked as the config's mu_mag.  pd = Q1 at the
+    threshold designed for each grid pfa, read directly rather than as
+    1 - missed-detection probability.  The variance and the thresholds are
+    computed once, and every (distance, pfa) point in one Marcum grid call."""
+    configs = [replace(base, mu_mag=float(mu)) for mu in mu_grid]
+    if not configs:
         raise ParameterError("mu_grid must be nonempty")
-    return [roc_analytic(replace(base, mu_mag=float(mu))) for mu in mu_values]
+    v = base.est_variance
+    thresholds = np.array([design_threshold(pfa, v) for pfa in base.pfa_grid])
+    pd = analytic_pd(np.array([c.mu_mag for c in configs])[:, None], thresholds, v)
+    return [
+        RocCurve(
+            points=tuple(RocPoint(pfa=pfa, pd=p, kind=RocKind.ANALYTIC, stderr=0.0)
+                         for pfa, p in zip(base.pfa_grid, row)),
+            config_digest=config.digest(),
+        )
+        for config, row in zip(configs, pd.tolist())
+    ]

@@ -11,9 +11,10 @@ Design notes
     scaled one times e^x and overflows past x ~ 709; callers in that range
     must use ``bessel_i0_scaled``.
 
-``marcum_q1`` / ``marcum_q1c``
-    Both read one private pair ``(Q1, 1 - Q1)``.  Poisson-mixture form of
-    the noncentral chi-square (2 dof) tail:
+``marcum_q1`` / ``marcum_q1c`` / ``marcum_q1_grid``
+    The first two read one side of the grid kernel's pair ``(Q1, 1 - Q1)``;
+    a scalar point is its one-point case.  Poisson-mixture form of the
+    noncentral chi-square (2 dof) tail:
 
         Q1(a,b) = sum_{k>=0} Pois(k; a^2/2) * P[Pois(b^2/2) <= k]
         1 - Q1(a,b) = sum_{m>=0} Pois(m+1; b^2/2) * P[Pois(a^2/2) <= m]
@@ -39,6 +40,26 @@ Design notes
     pfa, so a <= 77.2 whenever they reach the sum and every analytic ROC
     point has bounded cost, however strong the attacker.
 
+    Grid kernel: the axes and the cut-off are masks over the whole grid
+    (the cut-off squares a - b with one correctly rounded multiply; a libm
+    pow could differ from it only within an ulp of the cut-off, where the
+    summed smaller side is 0.0 as well).  Each remaining point is a row of
+    the loop "term = p * cdf, total += term, stop at the first m >= fence
+    with term <= total * 1e-17, advance p and q by one recurrence step,
+    cdf = min(1, cdf + q)".  Its seeds (``_pois_pmf``/``_pois_cdf``: exp,
+    log, lgamma) and the short prefix of steps that re-seed below 1e-290
+    run in ``math``: numpy's exp and log need not round as libm's do.
+    Past that prefix no step re-seeds again, and the rest of the row is
+    numpy ``multiply.accumulate`` (the two recurrences) and
+    ``add.accumulate`` (the cdf, clamped after the fact by min(1, .), and
+    the total).  An accumulate runs strictly left to right, so each element
+    is the loop's own IEEE operation on the loop's operands, and the window
+    bounds are the loop's correctly rounded + * / sqrt trunc max: every
+    output carries the bits of the scalar loop.  Rows run in blocks of at
+    most ``_BLOCK_ELEMENTS`` per array; a row that has not stopped within
+    its block's width goes on from its carried state.  On the detector's
+    800-point strong-attacker sweep this is one call instead of 800 loops.
+
 The defining-integral quadrature oracle used to certify these routines
 lives in ``backscatter_auth.validation``, deliberately not here.
 """
@@ -47,6 +68,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -161,71 +184,174 @@ def _pois_cdf(m: int, theta: float) -> float:
 # keeps only a few significand bits; a recurrence seeded there would carry
 # that relative error forever, so keep re-seeding from logs until clear
 _PMF_RESEED_FLOOR = 1e-290
+# elements per array of one block of summed rows (rows x window columns):
+# the kernel's working memory stays fixed, however large the grid
+_BLOCK_ELEMENTS = 1 << 12
 
 
-def _advance_pmf(p: float, k: int, theta: float) -> float:
-    """p_{k} from p_{k-1}; re-seed from logs while the rising flank is too
-    small for the recurrence seed to be trustworthy."""
-    p *= theta / k
-    if p < _PMF_RESEED_FLOOR and k < theta:
-        p = _pois_pmf(k, theta)
-    return p
+def _checked_grid(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array whose elements are all finite and >= 0;
+    the first bad element is reported as ``_check_nonneg`` reports a scalar."""
+    x = np.asarray(values, dtype=np.float64)
+    # NaN fails both comparisons, as min() and max() propagate it
+    if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
+        _check_nonneg(x[~(np.isfinite(x) & (x >= 0.0))][0], name)
+    return x
 
 
-def _marcum_mixture_sum(theta_p: float, theta_c: float, shift: int) -> float:
-    """sum_{m>=0} Pois(m+shift; theta_p) * P[Pois(theta_c) <= m].
-
-    shift=0 with (a^2/2, b^2/2) is Q1(a,b); shift=1 with the roles swapped
-    is 1 - Q1(a,b).  Requires theta_p > 0.
-    """
-    peak = max(theta_p, math.sqrt(theta_p * theta_c))
-    m_lo = max(0, int(peak - 10.0 * math.sqrt(peak + 1.0) - 20.0))
-    fence = max(
-        theta_p + 12.0 * math.sqrt(theta_p + 1.0),
-        peak + 12.0 * math.sqrt(peak + 1.0),
-    ) + 20.0
-
-    p = _pois_pmf(m_lo + shift, theta_p)
-    q = _pois_pmf(m_lo, theta_c)
-    cdf = _pois_cdf(m_lo, theta_c)
-
+def _walk_from_seed(theta_p: float, theta_c: float, shift: int, m: int,
+                    fence: float) -> tuple[bool, int, float, float, float, float]:
+    """The mixture loop of one row in ``math``: seeded in log space at m, and
+    walked while a recurrence step re-seeds from logs (a rising flank below
+    _PMF_RESEED_FLOOR).  Returns (stopped, m, p, q, cdf, total): the row's sum
+    if it stopped, else the state at the last m, after which neither
+    recurrence ever re-seeds (on a rising flank the products only grow)."""
+    p = _pois_pmf(m + shift, theta_p)
+    q = _pois_pmf(m, theta_c)
+    cdf = _pois_cdf(m, theta_c)
     total = 0.0
-    m = m_lo
     while True:
         total += p * cdf
         if m >= fence and p * cdf <= total * _REL_EPS:
-            return total
-        m += 1
-        p = _advance_pmf(p, m + shift, theta_p)
-        q = _advance_pmf(q, m, theta_c)
-        cdf += q
-        if cdf > 1.0:
-            cdf = 1.0
+            return True, m, p, q, cdf, total
+        k = m + 1
+        p_next = p * (theta_p / (k + shift))
+        q_next = q * (theta_c / k)
+        p_low = p_next < _PMF_RESEED_FLOOR and k + shift < theta_p
+        q_low = q_next < _PMF_RESEED_FLOOR and k < theta_c
+        if not (p_low or q_low):
+            return False, m, p, q, cdf, total
+        m = k
+        p = _pois_pmf(k + shift, theta_p) if p_low else p_next
+        q = _pois_pmf(k, theta_c) if q_low else q_next
+        cdf = min(1.0, cdf + q)
 
 
-def _marcum_pair(a: float, b: float) -> tuple[float, float]:
-    """(Q1(a, b), 1 - Q1(a, b)), the smaller side summed and the other its
-    complement; the smaller side is exactly 0.0 past the underflow cut-off."""
-    a = _check_nonneg(a, "a")
-    b = _check_nonneg(b, "b")
-    if b == 0.0:
-        return 1.0, 0.0
-    if a == 0.0:
-        half_b2 = 0.5 * b * b
-        return math.exp(-half_b2), -math.expm1(-half_b2)
-    if 0.5 * (a - b) ** 2 > _MARCUM_UNDERFLOW_EXPONENT:
-        return (0.0, 1.0) if b > a else (1.0, 0.0)
-    alpha = 0.5 * a * a
-    beta = 0.5 * b * b
-    # the sums are of positive terms; min() only absorbs last-ulp rounding
-    if b > a:
-        q = min(1.0, _marcum_mixture_sum(alpha, beta, 0))
-        return q, 1.0 - q
-    qc = min(1.0, _marcum_mixture_sum(beta, alpha, 1))
-    return 1.0 - qc, qc
+def _running(op, first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """op.accumulate along each row of [first | rest]: the loop's running
+    product or sum, continued from ``first``."""
+    out = np.empty((rest.shape[0], rest.shape[1] + 1))
+    out[:, 0] = first
+    out[:, 1:] = rest
+    return op.accumulate(out, axis=1, out=out)
 
 
-def marcum_q1(a: float, b: float) -> float:
+def _continue_rows(state: np.ndarray, theta_p, theta_c, shift, fence,
+                   width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``width`` steps of each row's loop from its state (columns m,
+    p, q, cdf, total), as numpy accumulates: each runs left to right, so every
+    element is the loop's own IEEE operation on the loop's operands.  Returns
+    (stopped, sums of the stopped rows) and leaves the others' state advanced."""
+    m, p, q, cdf, total = state.T
+    k = m[:, None] + np.arange(1.0, width + 1.0)
+    p_run = _running(np.multiply, p, theta_p[:, None] / (k + shift[:, None]))
+    q_run = _running(np.multiply, q, theta_c[:, None] / k)
+    # min(1, running sum) is the loop's clamp: once past 1 the sum stays past
+    cdf_run = np.minimum(_running(np.add, cdf, q_run[:, 1:]), 1.0)
+    terms = p_run[:, 1:] * cdf_run[:, 1:]
+    totals = _running(np.add, total, terms)[:, 1:]
+    stop = (k >= fence[:, None]) & (terms <= totals * _REL_EPS)
+    first = stop.argmax(axis=1)
+    rows = np.arange(first.size)
+    stopped = stop[rows, first]
+    state[:] = np.stack([k[:, -1], p_run[:, -1], q_run[:, -1], cdf_run[:, -1], totals[:, -1]],
+                        axis=1)
+    return stopped, totals[rows[stopped], first[stopped]]
+
+
+def _mixture_sums(theta_p: np.ndarray, theta_c: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """sum_{m>=0} Pois(m+shift; theta_p) * P[Pois(theta_c) <= m], per row.
+
+    shift=0 with (a^2/2, b^2/2) is Q1(a,b); shift=1 with the roles swapped
+    is 1 - Q1(a,b).  Each row is the loop of the module notes, summed over a
+    window from m_lo that stops at the first m >= fence whose term is below
+    total * _REL_EPS.  Requires theta_p > 0.
+    """
+    peak = np.maximum(theta_p, np.sqrt(theta_p * theta_c))
+    m_lo = np.maximum(0.0, np.trunc(peak - 10.0 * np.sqrt(peak + 1.0) - 20.0))
+    fence = np.maximum(
+        theta_p + 12.0 * np.sqrt(theta_p + 1.0),
+        peak + 12.0 * np.sqrt(peak + 1.0),
+    ) + 20.0
+
+    walks = [_walk_from_seed(tp, tc, int(sh), int(m), f) for tp, tc, sh, m, f in zip(
+        theta_p.tolist(), theta_c.tolist(), shift.tolist(), m_lo.tolist(), fence.tolist())]
+    state = np.array([walk[1:] for walk in walks])
+    sums = state[:, 4].copy()
+    walking = ~np.array([walk[0] for walk in walks])
+
+    # blocks of rows of similar window width, at most _BLOCK_ELEMENTS per array;
+    # a row that has not stopped at the block's width goes on for that width again
+    left = np.flatnonzero(walking)
+    need = np.maximum(np.ceil(fence[left] - state[left, 0]), 1.0)
+    left = left[np.argsort(need, kind="stable")]
+    need = np.sort(need)
+    lo = 0
+    while lo < left.size:
+        hi = lo + 1
+        while hi < left.size and (hi + 1 - lo) * need[hi] <= _BLOCK_ELEMENTS:
+            hi += 1
+        width = int(min(need[hi - 1], _BLOCK_ELEMENTS))
+        rows = left[lo:hi]
+        while rows.size:
+            block = state[rows]
+            stopped, done = _continue_rows(block, theta_p[rows], theta_c[rows], shift[rows],
+                                           fence[rows], width)
+            sums[rows[stopped]] = done
+            state[rows] = block
+            rows = rows[~stopped]
+        lo = hi
+    return sums
+
+
+def marcum_q1_grid(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(Q1(a, b), 1 - Q1(a, b)) over the broadcast grid of ``a`` and ``b``,
+    the smaller side summed and the other its complement; the smaller side
+    is exactly 0.0 past the underflow cut-off.  Every element carries the
+    bits of evaluating its point on its own (see the module notes)."""
+    a = _checked_grid(a, "a")
+    b = _checked_grid(b, "b")
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    q = np.ones(a.size)  # b == 0, and b < a past the cut-off
+    qc = np.zeros(a.size)
+
+    rest = b != 0.0
+    for i in np.flatnonzero(rest & (a == 0.0)):
+        half_b2 = 0.5 * float(b[i]) * float(b[i])
+        q[i], qc[i] = math.exp(-half_b2), -math.expm1(-half_b2)
+    rest &= a != 0.0
+    above = b > a
+    d = a - b
+    with np.errstate(over="ignore"):
+        far = 0.5 * (d * d) > _MARCUM_UNDERFLOW_EXPONENT
+    q[rest & far & above] = 0.0
+    qc[rest & far & above] = 1.0
+
+    rows = np.flatnonzero(rest & ~far)
+    if rows.size:
+        ar, br, up = a[rows], b[rows], above[rows]
+        with np.errstate(over="ignore"):
+            alpha, beta = 0.5 * ar * ar, 0.5 * br * br
+        if np.isinf(alpha).any() or np.isinf(beta).any():
+            i = int(np.argmax(np.isinf(alpha) | np.isinf(beta)))
+            raise ParameterError(
+                f"a^2/2 and b^2/2 overflow at a={float(ar[i])!r}, b={float(br[i])!r}")
+        # the sums are of positive terms; min() only absorbs last-ulp rounding
+        total = np.minimum(1.0, _mixture_sums(np.where(up, alpha, beta),
+                                              np.where(up, beta, alpha), np.where(up, 0, 1)))
+        q[rows] = np.where(up, total, 1.0 - total)
+        qc[rows] = np.where(up, 1.0 - total, total)
+    return q.reshape(shape), qc.reshape(shape)
+
+
+def _plain(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+def marcum_q1(a, b):
     """Marcum Q-function of order 1: P(T > b) for T with density
     x exp(-(x^2+a^2)/2) I0(a x) on x >= 0.
 
@@ -236,15 +362,17 @@ def marcum_q1(a: float, b: float) -> float:
     Where (a-b)^2/2 > 745.2 the result is exactly 0.0 (b > a) or 1.0
     (b < a) without summation (see the module notes), so the cost is
     bounded for every b <= 38.6, whatever a is; only when both a and b are
-    large and close does it grow like O(a + b) summation steps.
+    large and close does it grow like O(a + b) summation steps.  Scalars
+    give a float; arrays broadcast and give ``marcum_q1_grid``'s array.
     """
-    return _marcum_pair(a, b)[0]
+    return _plain(marcum_q1_grid(a, b)[0])
 
 
-def marcum_q1c(a: float, b: float) -> float:
+def marcum_q1c(a, b):
     """Complement 1 - Q1(a, b) = P(T <= b), relatively accurate in its own
-    lower tail (down to ~1e-290, as ``marcum_q1``), not 1 minus a rounded Q1."""
-    return _marcum_pair(a, b)[1]
+    lower tail (down to ~1e-290, as ``marcum_q1``), not 1 minus a rounded Q1.
+    Scalars give a float; arrays broadcast as in ``marcum_q1``."""
+    return _plain(marcum_q1_grid(a, b)[1])
 
 
 def rayleigh_tail(delta: float, sigma: float) -> float:

@@ -1,7 +1,9 @@
 """End-to-end CLI contracts: files, determinism, exit codes, diagnostics."""
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +182,50 @@ class TestSweepCommand:
     def test_missing_required_flag_is_exit_1(self, tmp_path, capsys):
         cfg = _write(tmp_path, ROC_CONFIG)
         assert main(["sweep", "--config", cfg]) == EXIT_ERROR
+
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "roc_demo.cfg"
+STRONG_ATTACKER_CONFIG = """\
+[experiment]
+sinr_db = 30.0
+n_train = 64
+mu_mag = 1.0
+pfa_grid = linspace:0.01:0.99:50
+trials = 0
+seed = 1
+"""
+# 16 log-spaced distances from 0.01 to 10; from 0.0398 on every pd is 1.0
+STRONG_ATTACKER_MUS = [10.0 ** (-2.0 + 3.0 * k / 15.0) for k in range(16)]
+ALL_DETECTED = "a05b05e39bbc61a7bd9c6368bf0face95d3bdc82c8f6fe4b277135a0ecd4d53d"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedAnalyticBytes:
+    """SHA-256 of analytic CSVs as the per-point Marcum loop wrote them,
+    before the grid kernel replaced it; the kernel keeps every bit."""
+
+    def test_demo_roc_analytic_csv(self, tmp_path):
+        assert main(["roc", "--config", str(DEMO_CONFIG), "--out", str(tmp_path)]) == EXIT_OK
+        assert _sha256(tmp_path / "roc_analytic.csv") == (
+            "494c0e1595091404b02b004b3afa6136be295a4bc8fb68e832f78c77d251ebc1")
+
+    def test_strong_attacker_sweep_csvs(self, tmp_path):
+        cfg = _write(tmp_path, STRONG_ATTACKER_CONFIG)
+        mu_list = ",".join(repr(mu) for mu in STRONG_ATTACKER_MUS)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--mu-list", mu_list, "--out", str(out)]) == EXIT_OK
+        digests = {path.name: _sha256(path) for path in out.glob("*.csv")}
+        assert len(digests) == 16
+        assert digests.pop("roc_mu_0.0100.csv") == (
+            "a6405934d1318e5380809a0f065e5dae5681a2823c447c2e8a6d382db51b0027")
+        assert digests.pop("roc_mu_0.0158.csv") == (
+            "7ea1b6493a26d7510d32b6d5ad2e9ef89834ff17a53894c7dea12ab1e77c49a3")
+        assert digests.pop("roc_mu_0.0251.csv") == (
+            "8b7eda94501e021632f6b2926b8642f7fa0482c33c46347864ccd4ec4d05f0c6")
+        assert set(digests.values()) == {ALL_DETECTED}
 
 
 class TestValidateCommand:

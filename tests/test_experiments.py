@@ -214,16 +214,19 @@ class TestRocAnalytic:
                 tol = 1e-14 * max(1.0, -math.log(point.pfa))
                 assert point.pd == pytest.approx(point.pfa, rel=tol, abs=0.0)
 
-    def test_one_marcum_call_per_point(self, monkeypatch):
+    def test_one_marcum_kernel_call_per_roc_and_sweep(self, monkeypatch):
         # through the special module's namespace, so a caller that swaps
-        # special.marcum_q1 (a tracer, say) sees every analytic point
+        # special.marcum_q1_grid (a tracer, say) sees every analytic point
         from backscatter_auth import special
 
-        calls = []
-        q1 = special.marcum_q1
-        monkeypatch.setattr(special, "marcum_q1", lambda a, b: calls.append(a) or q1(a, b))
+        points = []
+        grid = special.marcum_q1_grid
+        monkeypatch.setattr(special, "marcum_q1_grid",
+                            lambda a, b: points.append(np.broadcast(a, b).size) or grid(a, b))
         roc_analytic(_config(pfa_grid=GRID_50))
-        assert len(calls) == len(GRID_50)
+        assert points == [len(GRID_50)]
+        sweep_attacker(_config(pfa_grid=GRID_50), [0.5, 1.0, 2.0])
+        assert points == [len(GRID_50), 3 * len(GRID_50)]
 
     def test_monotone_in_pfa(self):
         curve = roc_analytic(_config(pfa_grid=GRID_50))

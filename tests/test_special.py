@@ -6,6 +6,8 @@ Frozen constants carry the oracle value they were computed from.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +17,20 @@ from hypothesis import strategies as st
 from backscatter_auth import special
 from backscatter_auth.errors import ParameterError
 from backscatter_auth.rng import RngHandle, sample_complex_normal_array
+from backscatter_auth.detection import design_threshold
+from backscatter_auth.experiments import ExperimentConfig
 from backscatter_auth.special import (
+    _MARCUM_UNDERFLOW_EXPONENT,
+    _PMF_RESEED_FLOOR,
+    _REL_EPS,
     RiceParams,
+    _check_nonneg,
+    _pois_cdf,
+    _pois_pmf,
     bessel_i0,
     bessel_i0_scaled,
     marcum_q1,
+    marcum_q1_grid,
     marcum_q1c,
     rayleigh_tail,
     rice_cdf,
@@ -35,6 +46,71 @@ I0_RTOL = 1e-12        # certified domain [0, 700]
 I0_SCALED_RTOL = 1e-10
 MARCUM_RTOL = 1e-10    # vs quadrature oracle
 EDGE_RTOL = 1e-12      # closed-form axes
+
+
+# The per-point Marcum loop that the grid kernel replaced, verbatim: the
+# bit-for-bit reference of TestMarcumGrid.  It shares only the log-space
+# seeds (_pois_pmf, _pois_cdf) with the kernel.
+def _advance_pmf(p: float, k: int, theta: float) -> float:
+    """p_{k} from p_{k-1}; re-seed from logs while the rising flank is too
+    small for the recurrence seed to be trustworthy."""
+    p *= theta / k
+    if p < _PMF_RESEED_FLOOR and k < theta:
+        p = _pois_pmf(k, theta)
+    return p
+
+
+def _marcum_mixture_sum(theta_p: float, theta_c: float, shift: int) -> float:
+    """sum_{m>=0} Pois(m+shift; theta_p) * P[Pois(theta_c) <= m].
+
+    shift=0 with (a^2/2, b^2/2) is Q1(a,b); shift=1 with the roles swapped
+    is 1 - Q1(a,b).  Requires theta_p > 0.
+    """
+    peak = max(theta_p, math.sqrt(theta_p * theta_c))
+    m_lo = max(0, int(peak - 10.0 * math.sqrt(peak + 1.0) - 20.0))
+    fence = max(
+        theta_p + 12.0 * math.sqrt(theta_p + 1.0),
+        peak + 12.0 * math.sqrt(peak + 1.0),
+    ) + 20.0
+
+    p = _pois_pmf(m_lo + shift, theta_p)
+    q = _pois_pmf(m_lo, theta_c)
+    cdf = _pois_cdf(m_lo, theta_c)
+
+    total = 0.0
+    m = m_lo
+    while True:
+        total += p * cdf
+        if m >= fence and p * cdf <= total * _REL_EPS:
+            return total
+        m += 1
+        p = _advance_pmf(p, m + shift, theta_p)
+        q = _advance_pmf(q, m, theta_c)
+        cdf += q
+        if cdf > 1.0:
+            cdf = 1.0
+
+
+def _marcum_pair(a: float, b: float) -> tuple[float, float]:
+    """(Q1(a, b), 1 - Q1(a, b)), the smaller side summed and the other its
+    complement; the smaller side is exactly 0.0 past the underflow cut-off."""
+    a = _check_nonneg(a, "a")
+    b = _check_nonneg(b, "b")
+    if b == 0.0:
+        return 1.0, 0.0
+    if a == 0.0:
+        half_b2 = 0.5 * b * b
+        return math.exp(-half_b2), -math.expm1(-half_b2)
+    if 0.5 * (a - b) ** 2 > _MARCUM_UNDERFLOW_EXPONENT:
+        return (0.0, 1.0) if b > a else (1.0, 0.0)
+    alpha = 0.5 * a * a
+    beta = 0.5 * b * b
+    # the sums are of positive terms; min() only absorbs last-ulp rounding
+    if b > a:
+        q = min(1.0, _marcum_mixture_sum(alpha, beta, 0))
+        return q, 1.0 - q
+    qc = min(1.0, _marcum_mixture_sum(beta, alpha, 1))
+    return 1.0 - qc, qc
 
 
 class TestBesselI0:
@@ -193,7 +269,7 @@ class TestMarcumCutoff:
         def refuse(*args):
             raise AssertionError("Marcum mixture summed past the underflow cut-off")
 
-        monkeypatch.setattr(special, "_marcum_mixture_sum", refuse)
+        monkeypatch.setattr(special, "_mixture_sums", refuse)
 
     @pytest.mark.parametrize("a,b,q", [(3577.7, 3.03, 1.0), (57.0, 3.03, 1.0),
                                        (1.0, 45.0, 0.0), (0.5, 39.2, 0.0)])
@@ -204,20 +280,131 @@ class TestMarcumCutoff:
         smaller_oracle = marcum_q1c_oracle if q == 1.0 else marcum_q1_oracle
         assert smaller_oracle(a, b) == 0.0
 
+    def test_a_grid_past_the_cut_off_is_unsummed(self, no_sum):
+        q, qc = marcum_q1_grid(np.array([57.0, 3577.7])[:, None], np.array([0.14, 3.03]))
+        assert (q == 1.0).all() and (qc == 0.0).all()
+
     @pytest.mark.parametrize("a,b", [(40.0, 1.5), (1.0, 39.5)])
     def test_just_inside_the_cut_off_still_sums(self, monkeypatch, a, b):
         assert abs(a - b) == 38.5
         calls = []
-        summed = special._marcum_mixture_sum
+        summed = special._mixture_sums
 
         def counted(*args):
             calls.append(args)
             return summed(*args)
 
-        monkeypatch.setattr(special, "_marcum_mixture_sum", counted)
+        monkeypatch.setattr(special, "_mixture_sums", counted)
         marcum_q1(a, b)
         marcum_q1c(a, b)
         assert len(calls) == 2
+
+
+def _reference_bits(a, b) -> list[tuple[str, str]]:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return [tuple(v.hex() for v in _marcum_pair(x, y))
+            for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+
+
+def _kernel_bits(a, b) -> list[tuple[str, str]]:
+    q, qc = marcum_q1_grid(a, b)
+    return [(x.hex(), y.hex()) for x, y in zip(q.ravel().tolist(), qc.ravel().tolist())]
+
+
+class TestMarcumGrid:
+    """The grid kernel against the per-point loop it replaced, compared bit
+    for bit (float.hex, so even the sign of a zero counts)."""
+
+    def test_half_step_grid(self):
+        a = np.arange(0.0, 80.25, 0.5)[:, None]
+        b = np.arange(0.0, 40.25, 0.5)
+        assert _kernel_bits(a, b) == _reference_bits(a, b)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(20_261_018)
+        a, b = rng.uniform(0.0, 80.0, 400), rng.uniform(0.0, 80.0, 400)
+        assert _kernel_bits(a, b) == _reference_bits(a, b)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-3, 20.0, 38.6])
+    def test_near_the_diagonal_and_the_cut_off(self, gap):
+        a = np.linspace(0.01, 77.0, 90)
+        for b in (a + gap, np.maximum(a - gap, 0.0)):
+            assert _kernel_bits(a, b) == _reference_bits(a, b)
+
+    def test_both_sides_and_both_axes_in_one_call(self):
+        a = np.array([0.0, 0.5, 3.0, 20.0, 40.0])[:, None]
+        b = np.array([0.0, 0.25, 3.0, 20.5, 45.0, 60.0])
+        q, _ = marcum_q1_grid(a, b)
+        assert q.shape == (5, 6)
+        assert _kernel_bits(a, b) == _reference_bits(a, b)
+
+    def test_one_point_is_a_float(self):
+        assert type(marcum_q1(3.0, 2.0)) is float and type(marcum_q1c(3.0, 2.0)) is float
+        assert (marcum_q1(3.0, 2.0), marcum_q1c(3.0, 2.0)) == _marcum_pair(3.0, 2.0)
+
+    def test_reseed_prefix_rows(self, monkeypatch):
+        # a ~ 40, b <= 3: Pois(m; a^2/2) starts far below 1e-290 at m_lo = 0,
+        # so the walk re-seeds from logs for ~30 steps before numpy takes over
+        a = np.linspace(38.0, 42.0, 9)[:, None]
+        b = np.linspace(0.05, 3.0, 12)
+        seeds = []
+        pmf = special._pois_pmf
+        monkeypatch.setattr(special, "_pois_pmf", lambda k, theta: seeds.append(k) or pmf(k, theta))
+        kernel = _kernel_bits(a, b)
+        monkeypatch.undo()
+        assert len(seeds) > 10 * a.size * b.size  # two plain seeds per row otherwise
+        assert kernel == _reference_bits(a, b)
+
+    def test_window_goes_on_past_the_element_budget(self, monkeypatch):
+        # a = b = 1100: ~17000 steps from m_lo to the fence, more than one
+        # block holds, so the row runs a second window from its carried state
+        windows = []
+        run = special._continue_rows
+
+        def counted(state, *args):
+            windows.append(state.shape[0])
+            return run(state, *args)
+
+        monkeypatch.setattr(special, "_continue_rows", counted)
+        a, b = np.array([1100.0, 5.0]), np.array([1100.0, 4.0])
+        kernel = _kernel_bits(a, b)
+        assert len(windows) >= 3 and windows[-1] == 1
+        assert kernel == _reference_bits(a, b)
+
+    def test_strong_attacker_points(self):
+        # the analytic-strong-attacker sweep: 30 dB, n_train 64, 16 distances
+        pfa = np.linspace(0.01, 0.99, 50)
+        v = ExperimentConfig(sinr_db=30.0, n_train=64, mu_mag=1.0, pfa_grid=pfa,
+                             trials=0, seed=1).est_variance
+        s = math.sqrt(v / 2.0)
+        a = np.array([10.0 ** (-2.0 + 3.0 * k / 15.0) for k in range(16)])[:, None] / s
+        b = np.array([design_threshold(float(p), v) for p in pfa]) / s
+        assert _kernel_bits(a, b) == _reference_bits(a, b)
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_rejects_bad_elements_as_one_point_does(self, name, bad, shape):
+        args = {"a": np.array([1.0, 2.0]), "b": 1.5}
+        args[name] = bad if shape == "scalar" else np.array([[1.0, 2.0], [bad, 3.0]])
+        with pytest.raises(ParameterError) as point:
+            _check_nonneg(bad, name)
+        with pytest.raises(ParameterError, match=re.escape(str(point.value))):
+            marcum_q1_grid(args["a"], args["b"])
+
+    def test_no_runtime_warnings(self):
+        # m_lo = 0 rows, both axes, far points and a squared gap that overflows
+        a = np.array([0.0, 1e-3, 0.5, 3.0, 60.0, 1e300])[:, None]
+        b = np.array([0.0, 1e-3, 0.5, 2.0, 40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, qc = marcum_q1_grid(a, b)
+            marcum_q1_grid(b, a)
+        assert q[-1].tolist() == [1.0] * 5 and qc[-1].tolist() == [0.0] * 5
+
+    def test_overflowing_summed_point_rejected(self):
+        with pytest.raises(ParameterError, match="overflow"):
+            marcum_q1_grid(1e200, 1e200)
 
 
 class TestRayleighTail:

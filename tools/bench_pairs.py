@@ -10,7 +10,8 @@ every workload named in BENCHMARK.json (or ``--workloads``), pair i runs
 ``perfbench/run.py --trace 0`` once in each export, the parent first when i
 is even and the change first when i is odd, so a drift of the host's speed
 falls on both sides alike.  ``--traced-seeds`` adds ``--trace 1`` runs of
-auth-episodes on both sides, for the per-layer split.
+each of those workloads on both sides, one per seed and side, for the
+per-layer split.
 
 The result file holds every run's end-to-end metrics, a per-metric summary
 (median and quartiles per side, pairs in which the change was lower, the
@@ -32,16 +33,6 @@ import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-AUTH = "auth-episodes"
-# the per-layer metrics of an auth-episodes op; the engine and Marcum
-# layers read 0 there
-TRACED_METRICS = (
-    "estimation.ls_estimate_us", "signaling.exchange_us", "channel.make_link_us",
-    "detection.authenticate_us", "experiments.run_trial_s", "rng.draw_s",
-    "signaling.exchange_s", "estimation.ls_estimate_s", "channel.make_link_s",
-    "detection.authenticate_s", "detection.threshold_s", "experiments.unaccounted_s",
-    "trace.wall_s", "trace.overhead_s", "rng.normals_per_trial", "trace.ops",
-)
 
 
 def parse_args(argv):
@@ -55,7 +46,7 @@ def parse_args(argv):
     parser.add_argument("--workloads", default=None,
                         help="comma-separated names (default: all in BENCHMARK.json)")
     parser.add_argument("--traced-seeds", default="",
-                        help="comma-separated seeds of traced auth-episodes runs per side")
+                        help="comma-separated seeds of traced runs per workload and side")
     return parser.parse_args(argv)
 
 
@@ -145,11 +136,11 @@ def main(argv=None) -> int:
         "what": (f"{args.pairs} alternating pairs of untraced {args.seconds:g} s runs of "
                  "perfbench/run.py per workload: the parent commit against the change, both "
                  "run from git-archive exports of their committed files; pair i runs the "
-                 "parent first when i is even. Plus traced runs of auth-episodes for the "
+                 "parent first when i is even. Plus traced runs of each workload for the "
                  "per-layer split. Written by tools/bench_pairs.py."),
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
-        "traced_command": f"python3 perfbench/run.py --workload {AUTH} --seed S "
+        "traced_command": f"python3 perfbench/run.py --workload W --seed S "
                           f"--seconds {args.seconds:g} --trace 1",
         "parent": shas["parent"],
         "change": shas["change"],
@@ -186,19 +177,20 @@ def main(argv=None) -> int:
             print(f"{workload} pair {i}: op_p90_ms parent {p90['parent']:.2f} "
                   f"change {p90['change']:.2f}", flush=True)
 
-    if traced_seeds:
+    layers = [m["name"] for m in spec["per_layer"]]
+    for workload in workloads if traced_seeds else ():
         runs: list[dict] = []
-        doc["auth_episodes_traced"] = traced = {"runs": runs, "median": {}}
+        traced = doc.setdefault("traced", {})[workload] = {"runs": runs, "median": {}}
         for k, seed in enumerate(traced_seeds):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                record = measured(side, AUTH, seed, 1)
-                runs.append({"side": side, "seed": seed,
-                             **{name: record[name] for name in TRACED_METRICS}})
+                record = measured(side, workload, seed, 1)
+                runs.append({"side": side, "seed": seed, "failed": record["failed"],
+                             **{name: record[name] for name in layers}})
                 save()
         for side in ("parent", "change"):
             traced["median"][side] = {
                 name: statistics.median(r[name] for r in runs if r["side"] == side)
-                for name in TRACED_METRICS}
+                for name in layers}
         save()
     return 0
 
