@@ -164,17 +164,15 @@ class ValidationReport:
 _MARCUM_REF_FLOOR = 1e-290
 
 
-def _worst_marcum_error(fn, oracle, rows) -> tuple[float, tuple[float, float], float, int]:
+def _worst_marcum_error(fn, oracle, rows) -> tuple[float, tuple[float, float], float]:
     """Worst relative error of fn against oracle over the (a, bs) rows, where
-    it occurred, the smallest reference value checked and the point count.
-    fn evaluates each a-row in one call, the multi-point path roc and sweep
-    run; the oracle goes point by point."""
+    it occurred, and the smallest reference value checked.  fn evaluates
+    each a-row in one call, the multi-point path roc and sweep run; the
+    oracle goes point by point."""
     worst = 0.0
     worst_at = (0.0, 0.0)
     smallest = 1.0
-    points = 0
     for a, bs in rows:
-        points += len(bs)
         for b, value in zip(bs, fn(a, np.array(bs)).tolist()):
             ref = oracle(a, b)
             if ref < _MARCUM_REF_FLOOR:
@@ -183,7 +181,7 @@ def _worst_marcum_error(fn, oracle, rows) -> tuple[float, tuple[float, float], f
             err = abs(value - ref) / ref
             if err > worst:
                 worst, worst_at = err, (a, b)
-    return worst, worst_at, smallest, points
+    return worst, worst_at, smallest
 
 
 def _square_grid(stop: float, step: float) -> list[float]:
@@ -202,7 +200,7 @@ def check_marcum_vs_quadrature(
         sparse = _square_grid(50.0, wide_step)
         rows += [(a, bs) for a in sparse
                  if (bs := [b for b in sparse if max(a, b) > 10.0])]
-    worst, worst_at, _, points = _worst_marcum_error(
+    worst, worst_at, _ = _worst_marcum_error(
         special.marcum_q1,
         lambda a, b: marcum_q1_oracle(a, b) if b > 0 else 1.0,
         rows,
@@ -212,7 +210,7 @@ def check_marcum_vs_quadrature(
         passed=worst <= tol,
         observed=worst,
         limit=tol,
-        detail=f"worst at (a,b)={worst_at} over {points} points",
+        detail=f"worst at (a,b)={worst_at} over {sum(len(bs) for _, bs in rows)} points",
     )
 
 
@@ -221,7 +219,7 @@ def check_marcum_complement_vs_quadrature(step: float = 1.0, tol: float = 1e-10)
     Rice density over [0, b], on a, b in {0, step, ..., 40}; with b < a the
     complement reaches far below 1e-200, where 1 - marcum_q1 reads 0."""
     grid = _square_grid(40.0, step)
-    worst, worst_at, smallest, _ = _worst_marcum_error(
+    worst, worst_at, smallest = _worst_marcum_error(
         special.marcum_q1c, marcum_q1c_oracle, [(a, grid) for a in grid])
     return CheckResult(
         name="marcum_q1c vs lower-tail quadrature",
