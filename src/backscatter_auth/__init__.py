@@ -10,4 +10,4 @@ their special-function numerics, and a seeded Monte Carlo engine that
 validates the closed forms end to end.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

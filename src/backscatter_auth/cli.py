@@ -11,6 +11,7 @@ manifest's presence signals a complete run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -246,7 +247,10 @@ def _cmd_auth(args) -> int:
     return EXIT_OK if decision.accepted else EXIT_REJECT
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: every `add_argument` probes the
+    terminal size, so it is built once; parsing keeps no state in it."""
     parser = _Parser(prog="backscatter-auth",
                      description="Backscatter-link fingerprint authentication simulator")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

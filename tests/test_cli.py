@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from backscatter_auth.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, main
+from backscatter_auth.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, build_parser, main
 
 ROC_CONFIG = """\
 [experiment]
@@ -314,3 +314,25 @@ class TestParser:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_ERROR
+
+    def test_calls_in_sequence_share_no_parse_state(self, tmp_path, capsys):
+        # one parser serves every call in the process; a value parsed by
+        # one call must not reach the next
+        assert build_parser() is build_parser()
+        cfg = _write(tmp_path, ROC_CONFIG)
+
+        def seed_of(out):
+            return json.loads((out / "manifest.json").read_text())["seed"]
+
+        swept, plain = tmp_path / "sweep", tmp_path / "roc"
+        assert main(["sweep", "--config", cfg, "--mu-list", "1.0", "--seed", "5",
+                     "--out", str(swept)]) == EXIT_OK
+        assert main(["roc", "--config", cfg, "--out", str(plain)]) == EXIT_OK
+        assert (seed_of(swept), seed_of(plain)) == (5, 422)
+
+        assert main(["roc", "--config", cfg, "--seed", "7", "--bogus"]) == EXIT_ERROR
+        after_error = tmp_path / "after_error"
+        assert main(["roc", "--config", cfg, "--out", str(after_error)]) == EXIT_OK
+        assert seed_of(after_error) == 422
+        assert (after_error / "roc_empirical.csv").read_bytes() == \
+            (plain / "roc_empirical.csv").read_bytes()

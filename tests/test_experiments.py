@@ -2,12 +2,18 @@
 
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from backscatter_auth import experiments
 from backscatter_auth.channel import (
     DeviceModel,
     RayleighFadingChannel,
@@ -19,7 +25,6 @@ from backscatter_auth.detection import design_threshold, fingerprint_distance
 from backscatter_auth.errors import ConfigurationError, ParameterError
 from backscatter_auth.experiments import (
     SHARD_TRIALS,
-    THREADS_ENV_VAR,
     ExperimentConfig,
     RocKind,
     canonical_scenario,
@@ -35,6 +40,7 @@ from backscatter_auth.experiments import (
 )
 from backscatter_auth.rng import RngHandle
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 GRID_50 = tuple(float(p) for p in np.linspace(0.01, 0.99, 50))
 EPISODES_DIGEST = "f52d86510ac453bfe5e9b1d661eb901a294c5987e01452334eb5940b41ba4570"
 
@@ -176,18 +182,43 @@ class TestEngineEquivalence:
         again = empirical_rejection_counts(cfg_multi, "h1")
         np.testing.assert_array_equal(counts, again)
 
-    def test_thread_count_invariance(self, monkeypatch):
+    def test_counts_are_the_sum_of_independent_shards(self):
+        # each shard draws from its own spawned stream, so the engine's
+        # counts are the sum of shard counts computed one by one
         cfg = _config(trials=SHARD_TRIALS * 3 + 17)
-        monkeypatch.setenv(THREADS_ENV_VAR, "1")
-        serial = empirical_rejection_counts(cfg, "h1")
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        threaded = empirical_rejection_counts(cfg, "h1")
-        np.testing.assert_array_equal(serial, threaded)
+        scenario = scenario_for(cfg)
+        thresholds = np.array([design_threshold(p, scenario.est_variance)
+                               for p in cfg.pfa_grid])
+        expected = np.zeros(len(cfg.pfa_grid), dtype=np.int64)
+        for index, size in enumerate([SHARD_TRIALS] * 3 + [17]):
+            stats = np.sort(simulate_statistics(
+                scenario, scenario.attack_link, size,
+                RngHandle(cfg.seed).spawn(1).spawn(index)))
+            expected += size - np.searchsorted(stats, thresholds, side="left")
+        np.testing.assert_array_equal(empirical_rejection_counts(cfg, "h1"), expected)
 
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "lots")
-        with pytest.raises(ConfigurationError):
-            empirical_rejection_counts(_config(), "h1")
+    def test_engine_runs_on_the_calling_thread_and_imports_no_pool(self, monkeypatch):
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, backscatter_auth.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+        seen = []
+        simulate = experiments.simulate_statistics
+
+        def record(*args):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return simulate(*args)
+
+        monkeypatch.setattr(experiments, "simulate_statistics", record)
+        caller = (threading.get_ident(), threading.active_count())
+        empirical_rejection_counts(_config(trials=SHARD_TRIALS * 3 + 17), "h1")
+        assert seen == [caller] * 4
+        assert threading.active_count() == caller[1]
 
     def test_unknown_hypothesis_rejected(self):
         with pytest.raises(ParameterError):
