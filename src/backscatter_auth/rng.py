@@ -1,4 +1,4 @@
-"""Seeded random sampling with reproducible parallel streams.
+"""Seeded random sampling with reproducible independent streams.
 
 Generator choice (pinned, do not change silently)
 -------------------------------------------------

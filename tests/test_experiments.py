@@ -220,6 +220,16 @@ class TestEngineEquivalence:
         assert seen == [caller] * 4
         assert threading.active_count() == caller[1]
 
+    def test_statistic_on_a_threshold_rejects(self, monkeypatch):
+        # continuous draws never tie, so the tie rule is checked on
+        # statistics placed exactly on the thresholds
+        cfg = _config(trials=3)
+        scenario = scenario_for(cfg)
+        on_thresholds = [design_threshold(p, scenario.est_variance) for p in cfg.pfa_grid]
+        monkeypatch.setattr(experiments, "simulate_statistics",
+                            lambda *args: np.array(on_thresholds))
+        np.testing.assert_array_equal(empirical_rejection_counts(cfg, "h1"), [1, 2, 3])
+
     def test_unknown_hypothesis_rejected(self):
         with pytest.raises(ParameterError):
             empirical_rejection_counts(_config(), "h2")
