@@ -228,6 +228,16 @@ class TestPinnedAnalyticBytes:
         assert set(digests.values()) == {ALL_DETECTED}
 
 
+class TestPinnedEmpiricalBytes:
+    """SHA-256 of the demo's Monte Carlo CSV: its counts and the text of
+    every binomial stderr, as the per-point writer formatted them."""
+
+    def test_demo_roc_empirical_csv(self, tmp_path):
+        assert main(["roc", "--config", str(DEMO_CONFIG), "--out", str(tmp_path)]) == EXIT_OK
+        assert _sha256(tmp_path / "roc_empirical.csv") == (
+            "db72d6c35364c78662bdaadf6c9d854a0ef9ea406b63de599ff8b1aec67528b6")
+
+
 class TestValidateCommand:
     def test_fast_passes_within_budget(self, capsys):
         start = time.perf_counter()
