@@ -47,17 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _roc_csv(curve: RocCurve) -> str:
-    lines = ["pfa,pd,kind,stderr"]
-    for p in curve.points:
-        lines.append(
-            f"{_format_float(p.pfa)},{_format_float(p.pd)},{p.kind.value},{_format_float(p.stderr)}"
-        )
-    return "\n".join(lines) + "\n"
+    """One row per point from the columns' Python floats, 17 significant
+    digits each ("%.17g", the conversion of format(x, ".17g")); the kind is
+    written once into the row template."""
+    row = "%.17g,%.17g," + curve.kind.value + ",%.17g\n"
+    rows = zip(curve.pfa.tolist(), curve.pd.tolist(), curve.stderr.tolist())
+    return "pfa,pd,kind,stderr\n" + "".join([row % r for r in rows])
 
 
 def _write_text(path: Path, content: str) -> None:

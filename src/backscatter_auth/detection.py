@@ -78,20 +78,24 @@ def analytic_pfa(threshold: float, est_variance: float) -> float:
     return special.rayleigh_tail(threshold, _rice_scale(est_variance))
 
 
+def _marcum_side(side: int, mu_mag, threshold, est_variance: float):
+    """Side ``side`` of the Marcum pair (Q1, 1 - Q1) at (mu/s, threshold/s),
+    s = sqrt(v/2): mu_mag and threshold broadcast against each other, and the
+    whole grid is one ``special.marcum_q1_grid`` call; scalars give a float."""
+    s = _rice_scale(est_variance)
+    p = special.marcum_q1_grid(np.divide(mu_mag, s), np.divide(threshold, s))[side]
+    return float(p) if p.ndim == 0 else p
+
+
 def analytic_pd(mu_mag, threshold, est_variance: float):
-    """Detection probability Q1(mu/s, threshold/s), s = sqrt(v/2).
-
-    mu_mag and threshold broadcast against each other, and the whole grid
-    is one ``special.marcum_q1_grid`` call; scalars give a float."""
-    s = _rice_scale(est_variance)
-    pd = special.marcum_q1_grid(np.divide(mu_mag, s), np.divide(threshold, s))[0]
-    return float(pd) if pd.ndim == 0 else pd
+    """Detection probability Q1(mu/s, threshold/s), s = sqrt(v/2)."""
+    return _marcum_side(0, mu_mag, threshold, est_variance)
 
 
-def analytic_pmd(mu_mag: float, threshold: float, est_variance: float) -> float:
-    """Missed-detection probability 1 - Q1(mu/s, threshold/s), s = sqrt(v/2)."""
-    s = _rice_scale(est_variance)
-    return special.rice_cdf(threshold, special.RiceParams(nu=mu_mag, sigma=s))
+def analytic_pmd(mu_mag, threshold, est_variance: float):
+    """Missed-detection probability 1 - Q1(mu/s, threshold/s), s = sqrt(v/2):
+    the Rice cdf of the statistic at the threshold."""
+    return _marcum_side(1, mu_mag, threshold, est_variance)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ Trials are split into fixed-size shards, each drawing from its own
 deterministically derived random stream, and run in order on the calling
 thread; shards merge by integer rejection counts, so results depend only on
 the config and the seed.
+
+A result is a ``RocCurve``: read-only pfa, pd and stderr columns plus the
+curve's kind (analytic or empirical).  ``sweep_attacker`` computes its
+(distance, pfa) grid of pd in one call and makes each row a curve;
+``roc_analytic`` is its one-distance case.
 """
 
 from __future__ import annotations
@@ -154,22 +159,32 @@ class RocKind(enum.Enum):
     EMPIRICAL = "empirical"
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    pfa: float
-    pd: float
-    kind: RocKind
-    stderr: float = 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    points: tuple[RocPoint, ...]
-    config_digest: str
+    """One ROC as columns: pd and its standard error at each grid pfa.
+
+    Each column is a read-only 1-D float64 copy of what was passed; the
+    columns have one length and pfa is strictly ascending.  Curves compare
+    by column, not with ``==``.
+    """
+
+    pfa: np.ndarray
+    pd: np.ndarray
+    stderr: np.ndarray
+    kind: RocKind
 
     def __post_init__(self):
-        pfas = [p.pfa for p in self.points]
-        if any(b <= a for a, b in zip(pfas, pfas[1:])):
+        for name in ("pfa", "pd", "stderr"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            if column.ndim != 1:
+                raise ConfigurationError(f"ROC column {name} must be 1-D, got shape {column.shape}")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if not self.pfa.size == self.pd.size == self.stderr.size:
+            raise ConfigurationError(
+                f"ROC columns must have one length, got pfa {self.pfa.size}, "
+                f"pd {self.pd.size}, stderr {self.stderr.size}")
+        if np.any(self.pfa[1:] <= self.pfa[:-1]):
             raise ConfigurationError("ROC points must be sorted by pfa ascending")
 
 
@@ -333,18 +348,11 @@ def roc_analytic(config: ExperimentConfig) -> RocCurve:
 
 
 def roc_empirical(config: ExperimentConfig) -> RocCurve:
-    """Monte Carlo ROC from the engine's trials under the attack hypothesis."""
-    rates = empirical_rejection_rates(config, hypothesis="h1")
-    points = tuple(
-        RocPoint(
-            pfa=pfa,
-            pd=float(pd),
-            kind=RocKind.EMPIRICAL,
-            stderr=math.sqrt(pd * (1.0 - pd) / config.trials),
-        )
-        for pfa, pd in zip(config.pfa_grid, rates)
-    )
-    return RocCurve(points=points, config_digest=config.digest())
+    """Monte Carlo ROC from the engine's trials under the attack hypothesis,
+    with the binomial standard error sqrt(pd (1 - pd) / trials) per point."""
+    pd = empirical_rejection_rates(config, hypothesis="h1")
+    return RocCurve(pfa=config.pfa_grid, pd=pd, stderr=np.sqrt(pd * (1.0 - pd) / config.trials),
+                    kind=RocKind.EMPIRICAL)
 
 
 def sweep_attacker(base: ExperimentConfig, mu_grid) -> list[RocCurve]:
@@ -352,18 +360,13 @@ def sweep_attacker(base: ExperimentConfig, mu_grid) -> list[RocCurve]:
     each distance is checked as the config's mu_mag.  pd = Q1 at the
     threshold designed for each grid pfa, read directly rather than as
     1 - missed-detection probability.  The variance and the thresholds are
-    computed once, and every (distance, pfa) point in one Marcum grid call."""
-    configs = [replace(base, mu_mag=float(mu)) for mu in mu_grid]
-    if not configs:
+    computed once, every (distance, pfa) point in one Marcum grid call, and
+    each row of that grid is one curve."""
+    mus = [replace(base, mu_mag=float(mu)).mu_mag for mu in mu_grid]
+    if not mus:
         raise ParameterError("mu_grid must be nonempty")
     v = base.est_variance
     thresholds = np.array([design_threshold(pfa, v) for pfa in base.pfa_grid])
-    pd = analytic_pd(np.array([c.mu_mag for c in configs])[:, None], thresholds, v)
-    return [
-        RocCurve(
-            points=tuple(RocPoint(pfa=pfa, pd=p, kind=RocKind.ANALYTIC, stderr=0.0)
-                         for pfa, p in zip(base.pfa_grid, row)),
-            config_digest=config.digest(),
-        )
-        for config, row in zip(configs, pd.tolist())
-    ]
+    pd = analytic_pd(np.array(mus)[:, None], thresholds, v)
+    pfa, zeros = np.array(base.pfa_grid), np.zeros(thresholds.size)
+    return [RocCurve(pfa=pfa, pd=row, stderr=zeros, kind=RocKind.ANALYTIC) for row in pd]

@@ -1,4 +1,4 @@
-"""Special-function numerics: modified Bessel I0, Marcum Q1, Rayleigh/Rice laws.
+"""Special-function numerics: modified Bessel I0, Marcum Q1, the Rayleigh tail.
 
 Design notes
 ------------
@@ -67,8 +67,6 @@ lives in ``backscatter_auth.validation``, deliberately not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
@@ -384,27 +382,3 @@ def rayleigh_tail(delta: float, sigma: float) -> float:
         raise ParameterError(f"sigma must be finite and > 0, got {sigma!r}")
     z = delta / sigma
     return math.exp(-0.5 * z * z)
-
-
-@dataclass(frozen=True)
-class RiceParams:
-    """Rician magnitude law: noncentrality nu >= 0, per-component scale sigma > 0.
-
-    nu = 0 degenerates to Rayleigh(sigma).
-    """
-
-    nu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nu) or self.nu < 0.0:
-            raise ParameterError(f"nu must be finite and >= 0, got {self.nu!r}")
-        if not math.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma!r}")
-
-
-def rice_cdf(x: float, params: RiceParams) -> float:
-    """P(T <= x) for T ~ Rice(params): 1 - Q1(nu/sigma, x/sigma), read from
-    the complement directly so the lower tail keeps its relative accuracy."""
-    x = _check_nonneg(x, "x")
-    return marcum_q1c(params.nu / params.sigma, x / params.sigma)

@@ -80,6 +80,57 @@ class TestAnalyticPmd:
     def test_zero_threshold_rejects_everything(self):
         assert analytic_pmd(1.0, 0.0, 0.5) == 0.0
 
+    def test_rice_monte_carlo_oracle(self):
+        # |CN(1, 0.5)| is Rice with per-component scale sqrt(0.5/2) = 0.5
+        n = 1_000_000
+        draws = sample_complex_normal_array(RngHandle(20_240_611), 1.0 + 0j, 0.5, n)
+        p_hat = float(np.mean(np.abs(draws) <= 1.5))
+        p = analytic_pmd(1.0, 1.5, 0.5)
+        assert abs(p_hat - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_against_noncentral_chi_square(self):
+        # independent cross-check: (T/s)^2 is noncentral chi-square with
+        # 2 dof and noncentrality (mu/s)^2, s = sqrt(v/2)
+        from scipy import stats
+
+        for mu, s, delta in [(0.5, 1.0, 1.2), (1.0, 0.5, 1.5), (3.0, 0.25, 2.9),
+                             (0.0, 2.0, 1.0), (8.0, 1.0, 6.5)]:
+            ref = float(stats.ncx2.cdf((delta / s) ** 2, 2, (mu / s) ** 2))
+            assert analytic_pmd(mu, delta, 2.0 * s * s) == pytest.approx(
+                ref, rel=1e-9, abs=1e-13)
+
+    def test_rayleigh_reduction_matches_pfa_complement(self):
+        # at zero distance both sides are the Rayleigh closed form
+        for v in (0.125, 2.0, 18.0):
+            for delta in np.linspace(0.0, 8.0, 33):
+                lhs = analytic_pmd(0.0, float(delta), v)
+                assert lhs == pytest.approx(1.0 - analytic_pfa(float(delta), v), abs=1e-12)
+
+    def test_nondecreasing_and_limits(self):
+        deltas = np.linspace(0.0, 12.0, 200)
+        pmds = [analytic_pmd(1.5, float(delta), 0.98) for delta in deltas]
+        assert all(b >= a for a, b in zip(pmds, pmds[1:]))
+        assert pmds[0] == 0.0
+        assert pmds[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_broadcast_grid_matches_points(self):
+        v = 0.3162
+        mus = np.array([0.0, 0.25, 1.0, 3.0])[:, None]
+        deltas = np.array([design_threshold(p, v) for p in (1e-20, 0.01, 0.5)])
+        grid = analytic_pmd(mus, deltas, v)
+        assert grid.shape == (4, 3)
+        points = [[analytic_pmd(float(mu), float(delta), v) for delta in deltas]
+                  for mu in mus[:, 0]]
+        assert all(type(p) is float for row in points for p in row)
+        np.testing.assert_array_equal(grid, points)
+
+    @pytest.mark.parametrize("mu,delta,v", [
+        (-0.1, 1.0, 0.5), (math.nan, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, 0.0),
+    ])
+    def test_rejects_bad_arguments(self, mu, delta, v):
+        with pytest.raises(ParameterError):
+            analytic_pmd(mu, delta, v)
+
     def test_monte_carlo_oracle_sinr_5db(self):
         # attacker offset 1 at the 5 dB operating point, threshold from pfa 0.1
         n = 1_000_000

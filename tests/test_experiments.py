@@ -235,13 +235,52 @@ class TestEngineEquivalence:
             empirical_rejection_counts(_config(), "h2")
 
 
+def _assert_same_curve(first, second):
+    assert first.kind is second.kind
+    for column in ("pfa", "pd", "stderr"):
+        np.testing.assert_array_equal(getattr(first, column), getattr(second, column))
+
+
+class TestRocCurve:
+    def _curve(self, **kw):
+        columns = dict(pfa=[0.1, 0.2, 0.5], pd=[0.3, 0.6, 0.9], stderr=[0.0, 0.0, 0.0],
+                       kind=RocKind.ANALYTIC)
+        columns.update(kw)
+        return experiments.RocCurve(**columns)
+
+    def test_columns_are_read_only_float64_copies(self):
+        pd = np.array([0.3, 0.6, 0.9])
+        curve = self._curve(pd=pd)
+        for column in (curve.pfa, curve.pd, curve.stderr):
+            assert column.dtype == np.float64 and column.ndim == 1
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+        pd[0] = 0.0  # the caller's array stays its own
+        assert curve.pd[0] == 0.3
+        assert pd.flags.writeable
+
+    @pytest.mark.parametrize("pfa", [[0.2, 0.1, 0.5], [0.1, 0.1, 0.5]])
+    def test_pfa_not_strictly_ascending_rejected(self, pfa):
+        with pytest.raises(ConfigurationError, match="sorted by pfa ascending"):
+            self._curve(pfa=pfa)
+
+    @pytest.mark.parametrize("column", ["pfa", "pd", "stderr"])
+    def test_unequal_column_lengths_rejected(self, column):
+        with pytest.raises(ConfigurationError, match="one length"):
+            self._curve(**{column: [0.1, 0.2]})
+
+    def test_non_1d_column_rejected(self):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            self._curve(pd=[[0.3, 0.6, 0.9]])
+
+
 class TestRocAnalytic:
     def test_chance_line_at_zero_offset(self):
         curve = roc_analytic(_config(mu_mag=0.0, pfa_grid=GRID_50))
-        for point in curve.points:
-            assert point.pd == pytest.approx(point.pfa, rel=1e-12, abs=0.0)
-            assert point.kind is RocKind.ANALYTIC
-            assert point.stderr == 0.0
+        np.testing.assert_array_equal(curve.pfa, GRID_50)
+        np.testing.assert_allclose(curve.pd, curve.pfa, rtol=1e-12, atol=0.0)
+        assert curve.kind is RocKind.ANALYTIC
+        np.testing.assert_array_equal(curve.stderr, np.zeros(len(GRID_50)))
 
     def test_chance_line_deep_in_the_tail(self):
         # regression: pd as 1 - (1 - Q1) read 0.0 at pfa 1e-20 and lost 4.5e-12
@@ -251,9 +290,9 @@ class TestRocAnalytic:
         grid = tuple(10.0 ** -k for k in (300, 250, 200, 100, 50, 20, 10, 5, 2, 1))
         for sinr_db in (0.0, 5.0, 10.0):
             curve = roc_analytic(_config(sinr_db=sinr_db, mu_mag=0.0, pfa_grid=grid))
-            for point in curve.points:
-                tol = 1e-14 * max(1.0, -math.log(point.pfa))
-                assert point.pd == pytest.approx(point.pfa, rel=tol, abs=0.0)
+            for pfa, pd in zip(curve.pfa, curve.pd):
+                tol = 1e-14 * max(1.0, -math.log(pfa))
+                assert pd == pytest.approx(pfa, rel=tol, abs=0.0)
 
     def test_one_marcum_kernel_call_per_roc_and_sweep(self, monkeypatch):
         # through the special module's namespace, so a caller that swaps
@@ -271,43 +310,39 @@ class TestRocAnalytic:
 
     def test_monotone_in_pfa(self):
         curve = roc_analytic(_config(pfa_grid=GRID_50))
-        pds = [p.pd for p in curve.points]
-        assert all(b >= a for a, b in zip(pds, pds[1:]))
+        assert np.all(curve.pd[1:] >= curve.pd[:-1])
 
     def test_dominance_in_sinr(self):
         low = roc_analytic(_config(sinr_db=0.0, mu_mag=0.5, pfa_grid=GRID_50))
         high = roc_analytic(_config(sinr_db=5.0, mu_mag=0.5, pfa_grid=GRID_50))
-        for lo, hi in zip(low.points, high.points):
-            assert hi.pd >= lo.pd
-        assert any(hi.pd > lo.pd for lo, hi in zip(low.points, high.points))
+        assert np.all(high.pd >= low.pd)
+        assert np.any(high.pd > low.pd)
 
     def test_chance_line_lower_bound(self):
         for mu in (0.0, 0.3, 1.0):
             curve = roc_analytic(_config(mu_mag=mu, pfa_grid=GRID_50))
-            for point in curve.points:
-                assert point.pd >= point.pfa - 1e-12
-                if mu > 0:
-                    assert point.pd > point.pfa
+            assert np.all(curve.pd >= curve.pfa - 1e-12)
+            if mu > 0:
+                assert np.all(curve.pd > curve.pfa)
 
 
 class TestRocEmpirical:
     def test_single_trial_degenerate(self):
         curve = roc_empirical(_config(trials=1))
-        for point in curve.points:
-            assert point.pd in (0.0, 1.0)
+        assert set(curve.pd.tolist()) <= {0.0, 1.0}
 
     def test_reproducible_bit_for_bit(self):
         cfg = _config(trials=20_000)
         first = roc_empirical(cfg)
         second = roc_empirical(cfg)
-        assert first == second
+        assert first is not second
+        _assert_same_curve(first, second)
 
     def test_stderr_field(self):
         curve = roc_empirical(_config(trials=10_000))
-        for point in curve.points:
-            assert point.kind is RocKind.EMPIRICAL
-            assert point.stderr == pytest.approx(
-                math.sqrt(point.pd * (1.0 - point.pd) / 10_000), abs=1e-15)
+        assert curve.kind is RocKind.EMPIRICAL
+        for pd, stderr in zip(curve.pd.tolist(), curve.stderr.tolist()):
+            assert stderr == pytest.approx(math.sqrt(pd * (1.0 - pd) / 10_000), abs=1e-15)
 
     def test_matches_analytic_on_default_grid(self):
         # moderate operating points keep every analytic p well inside (0, 1)
@@ -316,10 +351,10 @@ class TestRocEmpirical:
         ana = roc_analytic(cfg)
         emp = roc_empirical(cfg)
         inside_3 = 0
-        for pa, pe in zip(ana.points, emp.points):
-            se = math.sqrt(pa.pd * (1.0 - pa.pd) / cfg.trials)
-            assert abs(pe.pd - pa.pd) <= 4.0 * se
-            inside_3 += abs(pe.pd - pa.pd) <= 3.0 * se
+        for pa, pe in zip(ana.pd, emp.pd):
+            se = math.sqrt(pa * (1.0 - pa) / cfg.trials)
+            assert abs(pe - pa) <= 4.0 * se
+            inside_3 += abs(pe - pa) <= 3.0 * se
         assert inside_3 / len(grid) >= 0.99
 
     def test_h0_rates_track_targets(self):
@@ -334,19 +369,18 @@ class TestSweepAttacker:
     def test_zero_offset_single_chance_line(self):
         curves = sweep_attacker(_config(pfa_grid=GRID_50), [0.0])
         assert len(curves) == 1
-        for point in curves[0].points:
-            assert point.pd == pytest.approx(point.pfa, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(curves[0].pd, curves[0].pfa, rtol=1e-12, atol=0.0)
 
     def test_larger_offset_dominates(self):
         curves = sweep_attacker(_config(pfa_grid=GRID_50), [0.5, 1.0, 2.0])
         for weaker, stronger in zip(curves, curves[1:]):
-            for lo, hi in zip(weaker.points, stronger.points):
-                assert hi.pd >= lo.pd
-            assert any(hi.pd > lo.pd for lo, hi in zip(weaker.points, stronger.points))
+            assert np.all(stronger.pd >= weaker.pd)
+            assert np.any(stronger.pd > weaker.pd)
 
     def test_duplicates_identical(self):
         curves = sweep_attacker(_config(), [1.0, 1.0])
-        assert curves[0] == curves[1]
+        assert curves[0] is not curves[1]
+        _assert_same_curve(curves[0], curves[1])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):

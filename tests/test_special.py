@@ -23,7 +23,6 @@ from backscatter_auth.special import (
     _MARCUM_UNDERFLOW_EXPONENT,
     _PMF_RESEED_FLOOR,
     _REL_EPS,
-    RiceParams,
     _check_nonneg,
     _pois_cdf,
     _pois_pmf,
@@ -33,7 +32,6 @@ from backscatter_auth.special import (
     marcum_q1_grid,
     marcum_q1c,
     rayleigh_tail,
-    rice_cdf,
 )
 from backscatter_auth.validation import (
     bessel_i0_oracle,
@@ -425,52 +423,6 @@ class TestRayleighTail:
             rayleigh_tail(1.0, 0.0)
         with pytest.raises(ParameterError):
             rayleigh_tail(-1.0, 1.0)
-
-
-class TestRiceCdf:
-    def test_at_zero(self):
-        assert rice_cdf(0.0, RiceParams(nu=1.0, sigma=0.5)) == 0.0
-
-    def test_rayleigh_reduction_matches_tail(self):
-        # same closed form on both sides; agreement must be essentially exact
-        for sigma in (0.25, 1.0, 3.0):
-            for x in np.linspace(0.0, 8.0, 33):
-                lhs = rice_cdf(float(x), RiceParams(nu=0.0, sigma=sigma))
-                rhs = 1.0 - rayleigh_tail(float(x), sigma)
-                assert lhs == pytest.approx(rhs, abs=EDGE_RTOL)
-
-    def test_nondecreasing_and_limits(self):
-        params = RiceParams(nu=1.5, sigma=0.7)
-        xs = np.linspace(0.0, 12.0, 200)
-        vals = [rice_cdf(float(x), params) for x in xs]
-        assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
-        assert vals[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_monte_carlo_oracle(self):
-        # |CN(1, 2*0.5^2)| has per-component scale 0.5
-        n = 1_000_000
-        rng = RngHandle(20_240_611)
-        draws = sample_complex_normal_array(rng, 1.0 + 0j, 2 * 0.5**2, n)
-        p_hat = float(np.mean(np.abs(draws) <= 1.5))
-        p = rice_cdf(1.5, RiceParams(nu=1.0, sigma=0.5))
-        assert abs(p_hat - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
-
-    def test_invalid_params(self):
-        with pytest.raises(ParameterError):
-            RiceParams(nu=-0.1, sigma=1.0)
-        with pytest.raises(ParameterError):
-            RiceParams(nu=1.0, sigma=0.0)
-
-    def test_against_noncentral_chi_square(self):
-        # independent cross-check: (T/sigma)^2 is noncentral chi-square with
-        # 2 dof and noncentrality (nu/sigma)^2
-        from scipy import stats
-
-        for nu, sigma, x in [(0.5, 1.0, 1.2), (1.0, 0.5, 1.5), (3.0, 0.25, 2.9),
-                             (0.0, 2.0, 1.0), (8.0, 1.0, 6.5)]:
-            ref = float(stats.ncx2.cdf((x / sigma) ** 2, 2, (nu / sigma) ** 2))
-            assert rice_cdf(x, RiceParams(nu=nu, sigma=sigma)) == pytest.approx(
-                ref, rel=1e-9, abs=1e-13)
 
 
 class TestSamplingAnalyticAgreement:

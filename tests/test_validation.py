@@ -146,11 +146,11 @@ class TestBattery:
         # sabotage the library's missed-detection law with the literal
         # half-variance-as-scale reading; the Monte Carlo grid must catch it
         from backscatter_auth import detection, validation
-        from backscatter_auth.special import RiceParams, rice_cdf
+        from backscatter_auth.special import marcum_q1c
 
         def buggy_pmd(mu_mag, threshold, est_variance):
             s_bad = est_variance / 2.0
-            return rice_cdf(threshold, RiceParams(nu=mu_mag, sigma=s_bad))
+            return marcum_q1c(mu_mag / s_bad, threshold / s_bad)
 
         monkeypatch.setattr(detection, "analytic_pmd", buggy_pmd)
         result = validation.check_missed_detection_grid(trials=20_000, seed=2027)
