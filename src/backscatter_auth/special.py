@@ -67,6 +67,7 @@ lives in ``backscatter_auth.validation``, deliberately not here.
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from .errors import ParameterError
