@@ -425,6 +425,12 @@ class TestRayleighTail:
             rayleigh_tail(-1.0, 1.0)
 
 
+class TestRiceCdf:
+    def test_at_zero(self):
+        # Rice(nu=1, sigma=0.5) cdf at 0 is 1 - Q1(nu/sigma, 0/sigma), exactly 0
+        assert marcum_q1c(1.0 / 0.5, 0.0 / 0.5) == 0.0
+
+
 class TestSamplingAnalyticAgreement:
     @pytest.mark.parametrize("mean,var,delta", [
         (0.0 + 0.0j, 1.0, 1.0),
