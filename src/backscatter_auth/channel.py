@@ -102,7 +102,3 @@ def make_link(
     h_rt = tag.h_tx * reverse_rf.realize(rng) * reader.h_rx
     return LinkRealization(h_tr=h_tr, h_rt=h_rt)
 
-
-def residual_distance(link_a: LinkRealization, link_b: LinkRealization) -> float:
-    """Magnitude of the residual-channel difference between two links."""
-    return abs(link_a.h_res - link_b.h_res)

@@ -61,21 +61,34 @@ def design_threshold(target_pfa: float, est_variance: float) -> float:
     rate of the resulting test equals target_pfa exactly."""
     if not (0.0 < target_pfa < 1.0):
         raise ParameterError(f"target_pfa must lie in (0, 1), got {target_pfa!r}")
+    _check_variance(est_variance)
+    return math.sqrt(-math.log(target_pfa) * est_variance)
+
+
+def _check_variance(est_variance: float) -> None:
     if not math.isfinite(est_variance) or est_variance <= 0.0:
         raise ParameterError(f"est_variance must be > 0, got {est_variance!r}")
-    return math.sqrt(-math.log(target_pfa) * est_variance)
 
 
 def _rice_scale(est_variance: float) -> float:
     """Per-component scale sqrt(v/2) of the statistic's Rice/Rayleigh law."""
-    if not math.isfinite(est_variance) or est_variance <= 0.0:
-        raise ParameterError(f"est_variance must be > 0, got {est_variance!r}")
-    return math.sqrt(est_variance / 2.0)
+    _check_variance(est_variance)
+    s = math.sqrt(est_variance / 2.0)
+    if s == 0.0:
+        raise ParameterError(
+            f"est_variance {est_variance!r} is too small: its scale sqrt(v/2) rounds to 0.0")
+    return s
 
 
 def analytic_pfa(threshold: float, est_variance: float) -> float:
-    """False-alarm probability exp(-threshold^2 / est_variance)."""
-    return special.rayleigh_tail(threshold, _rice_scale(est_variance))
+    """False-alarm probability exp(-threshold^2 / est_variance): the Rayleigh
+    tail P(T > threshold), evaluated as exp(-z^2/2) with z = threshold/s."""
+    s = _rice_scale(est_variance)
+    threshold = float(threshold)
+    if not math.isfinite(threshold) or threshold < 0.0:
+        raise ParameterError(f"threshold must be finite and >= 0, got {threshold!r}")
+    z = threshold / s
+    return math.exp(-0.5 * z * z)
 
 
 def _marcum_side(side: int, mu_mag, threshold, est_variance: float):

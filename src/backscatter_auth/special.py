@@ -1,16 +1,7 @@
-"""Special-function numerics: modified Bessel I0, Marcum Q1, the Rayleigh tail.
+"""Special-function numerics: the Marcum Q1 pair (Q1, 1 - Q1).
 
 Design notes
 ------------
-``bessel_i0``
-    Ascending power series ``sum_k (x^2/4)^k / (k!)^2`` up to x = 40 (all
-    terms positive, worst case ~70 terms), then the large-argument
-    asymptotic expansion of the exponentially scaled function
-    ``e^-x I0(x) ~ (2 pi x)^{-1/2} sum_k ((2k-1)!!)^2 / (k! (8x)^k)``
-    (DLMF 10.40.1) truncated at relative 1e-17.  The unscaled value is the
-    scaled one times e^x and overflows past x ~ 709; callers in that range
-    must use ``bessel_i0_scaled``.
-
 ``marcum_q1`` / ``marcum_q1c`` / ``marcum_q1_grid``
     The first two read one side of the grid kernel's pair ``(Q1, 1 - Q1)``;
     a scalar point is its one-point case.  Poisson-mixture form of the
@@ -73,7 +64,6 @@ import numpy as np
 from .errors import ParameterError
 
 _REL_EPS = 1e-17
-_I0_SERIES_CUTOFF = 40.0
 # (a-b)^2/2 past which exp(-(a-b)^2/2), the bound on the smaller of Q1 and
 # 1-Q1, is below half the smallest subnormal (exp(-745.13)): that side is 0.0
 _MARCUM_UNDERFLOW_EXPONENT = 745.2
@@ -84,59 +74,6 @@ def _check_nonneg(value: float, name: str) -> float:
     if not math.isfinite(value) or value < 0.0:
         raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
     return value
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Relative error <= 1e-12 on [0, 700].  Raises ParameterError past the
-    double-precision overflow point (~709.7); use ``bessel_i0_scaled`` there.
-    """
-    x = _check_nonneg(x, "x")
-    if x <= _I0_SERIES_CUTOFF:
-        return _i0_series(x)
-    try:
-        return math.exp(x) * _i0e_asymptotic(x)
-    except OverflowError:
-        raise ParameterError(
-            f"bessel_i0 overflows for x={x!r}; use bessel_i0_scaled"
-        ) from None
-
-
-def bessel_i0_scaled(x: float) -> float:
-    """Exponentially scaled Bessel function e^-x * I0(x), finite for all x >= 0."""
-    x = _check_nonneg(x, "x")
-    if x <= _I0_SERIES_CUTOFF:
-        return math.exp(-x) * _i0_series(x)
-    return _i0e_asymptotic(x)
-
-
-def _i0_series(x: float) -> float:
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 1
-    while True:
-        term *= q / (k * k)
-        total += term
-        if term <= total * _REL_EPS:
-            return total
-        k += 1
-
-
-def _i0e_asymptotic(x: float) -> float:
-    inv8x = 1.0 / (8.0 * x)
-    term = 1.0
-    total = 1.0
-    k = 1
-    while True:
-        term *= (2 * k - 1) ** 2 * inv8x / k
-        total += term
-        # the series is asymptotic; for x > 40 it reaches 1e-17 long before
-        # the terms turn around, the cap is a safety net only
-        if term <= total * _REL_EPS or k > 200:
-            return total / math.sqrt(2.0 * math.pi * x)
-        k += 1
 
 
 def _pois_pmf(k: int, theta: float) -> float:
@@ -373,13 +310,3 @@ def marcum_q1c(a, b):
     Scalars give a float; arrays broadcast as in ``marcum_q1``."""
     return _plain(marcum_q1_grid(a, b)[1])
 
-
-def rayleigh_tail(delta: float, sigma: float) -> float:
-    """P(T > delta) for Rayleigh T with per-component scale sigma:
-    exp(-delta^2 / (2 sigma^2))."""
-    delta = _check_nonneg(delta, "delta")
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise ParameterError(f"sigma must be finite and > 0, got {sigma!r}")
-    z = delta / sigma
-    return math.exp(-0.5 * z * z)

@@ -29,25 +29,9 @@ from .rng import RngHandle
 _QUAD_EPSREL = 1e-13
 
 
-def bessel_i0_scaled_oracle(x: float) -> float:
-    """e^-x I0(x) from the integral representation
-    (1/pi) * integral_0^pi exp(x (cos t - 1)) dt, by adaptive quadrature."""
-    val, _ = integrate.quad(
-        lambda t: math.exp(x * (math.cos(t) - 1.0)), 0.0, math.pi,
-        epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200,
-    )
-    return val / math.pi
-
-
-def bessel_i0_oracle(x: float) -> float:
-    """I0(x) by adaptive quadrature of its integral representation."""
-    return math.exp(x) * bessel_i0_scaled_oracle(x)
-
-
 def _rice_integrand(a: float):
     """x exp(-(x^2+a^2)/2) I0(a x), arranged as x exp(-(x-a)^2/2) *
-    [e^-ax I0(ax)] with scipy's i0e so it neither overflows nor shares code
-    with the series implementation under test."""
+    [e^-ax I0(ax)] with scipy's i0e so that it does not overflow."""
 
     def integrand(x: float) -> float:
         return x * math.exp(-0.5 * (x - a) ** 2) * sp_special.i0e(a * x)

@@ -1,6 +1,5 @@
 """Device, propagation, and link-composition contracts."""
 
-import cmath
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from backscatter_auth.channel import (
     RayleighFadingChannel,
     Role,
     make_link,
-    residual_distance,
 )
 from backscatter_auth.errors import ConfigurationError, ParameterError
 from backscatter_auth.rng import RngHandle, sample_complex_normal_array
@@ -119,26 +117,10 @@ class TestMakeLink:
         # E|h_tr|^2 = |reader.h_tx|^2 * var * |tag.h_rx|^2 = 4 * 1 * 9
         assert float(np.mean(np.abs(h_tr) ** 2)) == pytest.approx(36.0, rel=0.01)
 
-
-class TestResidualDistance:
-    def test_self_distance_zero(self):
-        link = make_link(_reader(), _tag(), UNIT, UNIT, RngHandle(0))
-        assert residual_distance(link, link) == 0.0
-
-    def test_direct_magnitude(self):
-        a = LinkRealization(h_tr=1 + 0j, h_rt=1 + 0j)
-        b = LinkRealization(h_tr=1 + 1j, h_rt=1 + 0j)
-        assert residual_distance(a, b) == 1.0
-
-    def test_symmetry(self):
-        a = LinkRealization(h_tr=0.8 * cmath.exp(0.3j), h_rt=1 + 0j)
-        b = LinkRealization(h_tr=0.8 * cmath.exp(-0.3j), h_rt=1 + 0j)
-        assert residual_distance(a, b) == residual_distance(b, a)
-
     def test_distinct_devices_separate(self):
         reader = _reader(h_tx=1.2 + 0.1j, h_rx=0.9 - 0.3j)
         legit = _tag(h_tx=0.8 + 0.3j, h_rx=1.05 + 0.15j)
         clone = _tag(h_tx=0.6 - 0.4j, h_rx=1.2 + 0.1j, role=Role.MALICIOUS_TAG)
         link_l = make_link(reader, legit, UNIT, UNIT, RngHandle(0))
         link_m = make_link(reader, clone, UNIT, UNIT, RngHandle(0))
-        assert residual_distance(link_l, link_m) > 0.0
+        assert link_l.h_res != link_m.h_res

@@ -1,6 +1,7 @@
 """Threshold design, the accept/reject rule, and closed-form error rates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,32 @@ class TestAnalyticPfa:
             p = analytic_pfa(delta, v)
             p_hat = float(np.mean(stats > delta))
             assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_centile_threshold(self):
+        # threshold designed for a 1% tail at unit complex variance
+        assert analytic_pfa(2.146, 1.0) == pytest.approx(0.01, abs=1e-3)
+
+    @pytest.mark.parametrize("delta,v", [
+        (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0), (1.0, -1.0),
+    ])
+    def test_rejects_bad_arguments(self, delta, v):
+        with pytest.raises(ParameterError):
+            analytic_pfa(delta, v)
+
+
+class TestSubnormalVariance:
+    V = 5e-324  # sqrt(v/2) rounds to 0.0
+
+    def test_analytic_rates_reject_it(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: analytic_pfa(1.0, self.V), lambda: analytic_pd(1.0, 1.0, self.V),
+                         lambda: analytic_pmd(1.0, 1.0, self.V)):
+                with pytest.raises(ParameterError, match="est_variance"):
+                    call()
+
+    def test_threshold_design_accepts_it(self):
+        assert 0.0 < design_threshold(0.01, self.V) < 1e-161
 
 
 class TestAnalyticPmd:

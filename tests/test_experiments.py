@@ -19,7 +19,6 @@ from backscatter_auth.channel import (
     RayleighFadingChannel,
     Role,
     make_link,
-    residual_distance,
 )
 from backscatter_auth.detection import design_threshold, fingerprint_distance
 from backscatter_auth.errors import ConfigurationError, ParameterError
@@ -97,7 +96,7 @@ class TestScenario:
     def test_attack_offset_equals_mu(self):
         scenario = canonical_scenario(sinr_db=5.0, n_train=4, mu_mag=0.75)
         assert scenario.ground_truth == 1 + 0j
-        assert residual_distance(scenario.legit_link, scenario.attack_link) == 0.75
+        assert abs(scenario.attack_link.h_res - scenario.legit_link.h_res) == 0.75
 
     def test_sinr_normalization(self):
         scenario = canonical_scenario(sinr_db=10.0, n_train=2, mu_mag=0.0)

@@ -1,8 +1,9 @@
-"""Special-function numerics against their defining-integral oracles.
+"""The Marcum Q1 pair against its defining-integral oracles.
 
-The oracle side (adaptive quadrature, scipy's i0e) is independent of the
-series code under test; grid tolerances follow the certification targets.
-Frozen constants carry the oracle value they were computed from.
+The oracle side (adaptive quadrature of the Rice density, with scipy's
+i0e) is independent of the Poisson-mixture sums under test; grid
+tolerances follow the certification targets.  Frozen constants carry the
+oracle value they were computed from.
 """
 
 import math
@@ -26,22 +27,15 @@ from backscatter_auth.special import (
     _check_nonneg,
     _pois_cdf,
     _pois_pmf,
-    bessel_i0,
-    bessel_i0_scaled,
     marcum_q1,
     marcum_q1_grid,
     marcum_q1c,
-    rayleigh_tail,
 )
 from backscatter_auth.validation import (
-    bessel_i0_oracle,
-    bessel_i0_scaled_oracle,
     marcum_q1_oracle,
     marcum_q1c_oracle,
 )
 
-I0_RTOL = 1e-12        # certified domain [0, 700]
-I0_SCALED_RTOL = 1e-10
 MARCUM_RTOL = 1e-10    # vs quadrature oracle
 EDGE_RTOL = 1e-12      # closed-form axes
 
@@ -109,42 +103,6 @@ def _marcum_pair(a: float, b: float) -> tuple[float, float]:
         return q, 1.0 - q
     qc = min(1.0, _marcum_mixture_sum(beta, alpha, 1))
     return 1.0 - qc, qc
-
-
-class TestBesselI0:
-    def test_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
-
-    def test_unit_argument_vs_oracle(self):
-        # oracle: (1/pi) * integral_0^pi exp(cos t) dt = 1.2660658777520082
-        assert bessel_i0(1.0) == pytest.approx(1.2660658777520082, rel=I0_RTOL)
-        assert bessel_i0(1.0) == pytest.approx(bessel_i0_oracle(1.0), rel=I0_RTOL)
-
-    def test_scaled_at_100_vs_oracle(self):
-        # oracle: 0.03994437929909674
-        assert bessel_i0_scaled(100.0) == pytest.approx(
-            bessel_i0_scaled_oracle(100.0), rel=I0_SCALED_RTOL)
-
-    @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 5.0, 20.0, 39.9, 40.1, 80.0, 250.0, 700.0])
-    def test_certified_domain_vs_oracle(self, x):
-        assert bessel_i0_scaled(x) == pytest.approx(bessel_i0_scaled_oracle(x), rel=I0_RTOL)
-        if x <= 700.0:
-            assert bessel_i0(x) == pytest.approx(math.exp(x) * bessel_i0_scaled_oracle(x),
-                                                 rel=I0_RTOL)
-
-    def test_scaled_finite_far_beyond_overflow(self):
-        assert 0.0 < bessel_i0_scaled(1e6) < 1.0
-
-    def test_overflow_range_raises(self):
-        with pytest.raises(ParameterError):
-            bessel_i0(800.0)
-
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
-    def test_rejects_bad_arguments(self, bad):
-        with pytest.raises(ParameterError):
-            bessel_i0(bad)
-        with pytest.raises(ParameterError):
-            bessel_i0_scaled(bad)
 
 
 class TestMarcumQ1:
@@ -403,26 +361,6 @@ class TestMarcumGrid:
     def test_overflowing_summed_point_rejected(self):
         with pytest.raises(ParameterError, match="overflow"):
             marcum_q1_grid(1e200, 1e200)
-
-
-class TestRayleighTail:
-    def test_full_support(self):
-        assert rayleigh_tail(0.0, 2.7) == 1.0
-
-    @pytest.mark.parametrize("sigma", [0.2, 1.0, 4.0])
-    def test_median_inversion(self, sigma):
-        assert rayleigh_tail(sigma * math.sqrt(2.0 * math.log(2.0)), sigma) == pytest.approx(
-            0.5, rel=1e-14)
-
-    def test_centile_threshold(self):
-        # threshold designed for a 1% tail at unit complex variance
-        assert rayleigh_tail(2.146, math.sqrt(0.5)) == pytest.approx(0.01, abs=1e-3)
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ParameterError):
-            rayleigh_tail(1.0, 0.0)
-        with pytest.raises(ParameterError):
-            rayleigh_tail(-1.0, 1.0)
 
 
 class TestRiceCdf:

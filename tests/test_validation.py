@@ -7,8 +7,6 @@ import pytest
 
 from backscatter_auth.validation import (
     _frame_reference,
-    bessel_i0_oracle,
-    bessel_i0_scaled_oracle,
     check_marcum_complement_vs_quadrature,
     check_marcum_vs_quadrature,
     check_scale_convention_mutation,
@@ -21,10 +19,6 @@ from backscatter_auth.validation import (
 
 
 class TestOracles:
-    def test_bessel_oracle_normalization(self):
-        assert bessel_i0_oracle(0.0) == pytest.approx(1.0, rel=1e-13)
-        assert bessel_i0_scaled_oracle(0.0) == pytest.approx(1.0, rel=1e-13)
-
     def test_marcum_oracle_closed_form_edges(self):
         # the oracle must independently reproduce the Rayleigh edge
         for b in (0.5, 1.0, 2.0, 5.0):
