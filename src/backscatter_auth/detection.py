@@ -84,9 +84,7 @@ def analytic_pfa(threshold: float, est_variance: float) -> float:
     """False-alarm probability exp(-threshold^2 / est_variance): the Rayleigh
     tail P(T > threshold), evaluated as exp(-z^2/2) with z = threshold/s."""
     s = _rice_scale(est_variance)
-    threshold = float(threshold)
-    if not math.isfinite(threshold) or threshold < 0.0:
-        raise ParameterError(f"threshold must be finite and >= 0, got {threshold!r}")
+    threshold = special._check_nonneg(threshold, "threshold")
     z = threshold / s
     return math.exp(-0.5 * z * z)
 

@@ -89,10 +89,10 @@ class TestSubnormalVariance:
     def test_analytic_rates_reject_it(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: analytic_pfa(1.0, self.V), lambda: analytic_pd(1.0, 1.0, self.V),
-                         lambda: analytic_pmd(1.0, 1.0, self.V)):
+            for rate, args in ((analytic_pfa, (1.0,)), (analytic_pd, (1.0, 1.0)),
+                               (analytic_pmd, (1.0, 1.0))):
                 with pytest.raises(ParameterError, match="est_variance"):
-                    call()
+                    rate(*args, self.V)
 
     def test_threshold_design_accepts_it(self):
         assert 0.0 < design_threshold(0.01, self.V) < 1e-161
