@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, ParameterError
-from .rng import RngHandle, sample_complex_normal
+from .rng import RngHandle, complex_normal_from, sample_complex_normal
 
 
 class Role(enum.Enum):
@@ -93,12 +93,23 @@ def make_link(
     rng: RngHandle,
 ) -> LinkRealization:
     """Compose reader->tag and tag->reader channels through the devices'
-    chain gains and the propagation gains drawn from the RF specs."""
+    chain gains and the propagation gains drawn from the RF specs.
+
+    The forward gain is drawn first, then the reverse gain.  When both specs
+    fade, the two gains come from one ``standard_normal(4)``, which uses the
+    stream exactly as two ``realize`` calls would (C-order fill)."""
     if reader.role is not _READER:
         raise ConfigurationError(f"reader argument has role {reader.role}")
     if tag.role not in _TAG_ROLES:
         raise ConfigurationError(f"tag argument has role {tag.role}")
-    h_tr = reader.h_tx * forward_rf.realize(rng) * tag.h_rx
-    h_rt = tag.h_tx * reverse_rf.realize(rng) * reader.h_rx
+    if type(forward_rf) is RayleighFadingChannel and type(reverse_rf) is RayleighFadingChannel:
+        f_re, f_im, r_re, r_im = rng.generator.standard_normal(4).tolist()
+        g_forward = complex_normal_from(f_re, f_im, 0j, forward_rf.variance)
+        g_reverse = complex_normal_from(r_re, r_im, 0j, reverse_rf.variance)
+    else:
+        g_forward = forward_rf.realize(rng)
+        g_reverse = reverse_rf.realize(rng)
+    h_tr = reader.h_tx * g_forward * tag.h_rx
+    h_rt = tag.h_tx * g_reverse * reader.h_rx
     return LinkRealization(h_tr=h_tr, h_rt=h_rt)
 

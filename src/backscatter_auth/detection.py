@@ -12,13 +12,20 @@ probability its complement 1 - Q1; each is read from its own side of
 ``special``'s Marcum pair, never as one minus the other, so both stay
 relatively accurate deep in their tails (a strong attacker's missed
 detection of 1e-26, say).
+
+There is no detector object: ``authenticate`` takes the enrolled
+fingerprint, the estimation-error variance and the target false-alarm rate
+with each estimate, and reads its threshold from ``design_threshold``
+through a cache keyed on (target, variance), so a threshold is never set
+freely and an episode does not re-derive it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,23 +117,6 @@ def analytic_pmd(mu_mag, threshold, est_variance: float):
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    """Enrolled fingerprint plus the threshold derived from the target
-    false-alarm rate; the threshold is always recomputed, never free-set."""
-
-    ground_truth: complex
-    est_variance: float
-    target_pfa: float
-    threshold: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ground_truth", complex(self.ground_truth))
-        object.__setattr__(
-            self, "threshold", design_threshold(self.target_pfa, self.est_variance)
-        )
-
-
-@dataclass(frozen=True)
 class AuthDecision:
     """Outcome of one test: statistic, verdict, and the threshold applied.
 
@@ -139,20 +129,27 @@ class AuthDecision:
     threshold_used: float
 
 
-def authenticate(estimate: FingerprintEstimate, config: DetectorConfig) -> AuthDecision:
-    """Compare the fingerprint estimate against the enrolled ground truth."""
-    if not math.isclose(
-        estimate.error_variance, config.est_variance, rel_tol=1e-9, abs_tol=0.0
-    ):
+@functools.lru_cache(maxsize=128)
+def _threshold(target_pfa: float, est_variance: float) -> float:
+    # exceptions are not cached: a bad target or variance raises on every call
+    return design_threshold(target_pfa, est_variance)
+
+
+def authenticate(estimate: FingerprintEstimate, ground_truth: complex,
+                 est_variance: float, target_pfa: float) -> AuthDecision:
+    """Compare the fingerprint estimate against the enrolled ground truth at
+    the threshold ``design_threshold(target_pfa, est_variance)``."""
+    threshold = _threshold(target_pfa, est_variance)
+    if not math.isclose(estimate.error_variance, est_variance, rel_tol=1e-9, abs_tol=0.0):
         warnings.warn(
             "estimate error_variance "
             f"{estimate.error_variance!r} differs from detector est_variance "
-            f"{config.est_variance!r}; the detector's value is used",
+            f"{est_variance!r}; the detector's value is used",
             stacklevel=2,
         )
-    statistic = float(fingerprint_distance(estimate.value, config.ground_truth))
+    statistic = float(fingerprint_distance(estimate.value, ground_truth))
     return AuthDecision(
         statistic=statistic,
-        accepted=statistic < config.threshold,
-        threshold_used=config.threshold,
+        accepted=statistic < threshold,
+        threshold_used=threshold,
     )

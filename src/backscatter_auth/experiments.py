@@ -42,7 +42,6 @@ import numpy as np
 
 from .channel import DeviceModel, FixedChannel, LinkRealization, Role, make_link
 from .detection import (
-    DetectorConfig,
     analytic_pd,
     authenticate,
     design_threshold,
@@ -259,16 +258,15 @@ def run_trial(scenario: Scenario, link: LinkRealization, target_pfa: float,
     its energy and its effective training) are computed once per
     (n_train, tx), not per episode, and `simulate_estimates` reads the same
     cached values, so it stays bit-identical to a loop of this function; the
-    engine's kernel matches it in distribution only."""
+    engine's kernel matches it in distribution only.  No detector object is
+    built: `authenticate` takes the scenario's enrolled fingerprint and
+    variance directly and reads its threshold from a cache keyed on
+    (target_pfa, est_variance)."""
     challenge = SignalFrame.all_ones(scenario.n_train)
     response = exchange(challenge, link, scenario.tx, scenario.noise, rng)
     estimate = ls_estimate(challenge, response, scenario.tx, scenario.noise)
-    config = DetectorConfig(
-        ground_truth=scenario.ground_truth,
-        est_variance=scenario.est_variance,
-        target_pfa=target_pfa,
-    )
-    return estimate, authenticate(estimate, config)
+    return estimate, authenticate(estimate, scenario.ground_truth,
+                                  scenario.est_variance, target_pfa)
 
 
 def simulate_estimates(

@@ -16,6 +16,10 @@ batched full-frame path is bit-identical to a loop of per-trial episodes.
 The array sampler reads that interleaved buffer in place as complex128
 (same memory layout) and applies the scale and the mean in place, so a draw
 allocates one array; the values equal ``mean + s*(re + 1j*im)`` bit for bit.
+The same fill order lets ``channel.make_link`` draw a link whose two
+propagation gains both fade with one ``standard_normal(4)``: the forward
+pair, then the reverse pair, exactly the normals of two successive scalar
+draws.
 The Monte Carlo engine draws one complex estimate per trial instead of the
 frame, so it consumes two standard normals per trial and matches the
 per-trial pipeline in distribution, not bit for bit.
@@ -76,8 +80,15 @@ def sample_complex_normal(rng: RngHandle, mean: complex, variance: float) -> com
         raise ParameterError(f"mean must be finite, got {mean!r}")
     if variance == 0.0:
         return mean
-    # Python floats: the same IEEE products as numpy scalars, at less cost
     re, im = rng.generator.standard_normal(2).tolist()
+    return complex_normal_from(re, im, mean, variance)
+
+
+def complex_normal_from(re: float, im: float, mean: complex, variance: float) -> complex:
+    """The CN(mean, variance) value of one standard-normal pair (re, im):
+    ``mean + s*(re + 1j*im)`` with s = sqrt(variance/2), as the scalar
+    sampler computes it.  Every scalar complex draw goes through here."""
+    # Python floats: the same IEEE products as numpy scalars, at less cost
     s = math.sqrt(variance / 2.0)
     return mean + complex(re * s, im * s)
 

@@ -271,10 +271,14 @@ def marcum_q1_grid(a, b) -> tuple[np.ndarray, np.ndarray]:
         ar, br, up = a[rows], b[rows], above[rows]
         with np.errstate(over="ignore"):
             alpha, beta = 0.5 * ar * ar, 0.5 * br * br
-        if np.isinf(alpha).any() or np.isinf(beta).any():
-            i = int(np.argmax(np.isinf(alpha) | np.isinf(beta)))
+            # the window's peak takes sqrt(alpha * beta); an overflow there
+            # would leak NaN into the window bounds
+            overflow = np.isinf(alpha * beta)
+        if overflow.any():
+            i = int(np.argmax(overflow))
             raise ParameterError(
-                f"a^2/2 and b^2/2 overflow at a={float(ar[i])!r}, b={float(br[i])!r}")
+                f"a^2/2 and b^2/2 or their product overflow at a={float(ar[i])!r}, "
+                f"b={float(br[i])!r}")
         # the sums are of positive terms; min() only absorbs last-ulp rounding
         total = np.minimum(1.0, _mixture_sums(np.where(up, alpha, beta),
                                               np.where(up, beta, alpha), np.where(up, 0, 1)))

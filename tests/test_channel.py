@@ -117,6 +117,29 @@ class TestMakeLink:
         # E|h_tr|^2 = |reader.h_tx|^2 * var * |tag.h_rx|^2 = 4 * 1 * 9
         assert float(np.mean(np.abs(h_tr) ** 2)) == pytest.approx(36.0, rel=0.01)
 
+    @pytest.mark.parametrize("forward,reverse,normals", [
+        (FixedChannel(0.5 - 2j), FixedChannel(1.5 + 0.25j), 0),
+        (FixedChannel(0.5 - 2j), RayleighFadingChannel(0.7), 2),
+        (RayleighFadingChannel(1.3), FixedChannel(1.5 + 0.25j), 2),
+        (RayleighFadingChannel(1.3), RayleighFadingChannel(0.7), 4),
+    ])
+    def test_stream_contract_per_spec_pair(self, forward, reverse, normals):
+        # whatever the pair, the link carries the bits of two realize calls,
+        # forward then reverse, and the handle moves on by their normals only
+        reader = _reader(h_tx=1.2 + 0.1j, h_rx=0.9 - 0.3j)
+        tag = _tag(h_tx=0.8 + 0.3j, h_rx=1.05 + 0.15j)
+        for seed in range(20):
+            rng, fresh, counted = RngHandle(seed), RngHandle(seed), RngHandle(seed)
+            link = make_link(reader, tag, forward, reverse, rng)
+            h_tr = reader.h_tx * forward.realize(fresh) * tag.h_rx
+            h_rt = tag.h_tx * reverse.realize(fresh) * reader.h_rx
+            got = np.array([link.h_tr, link.h_rt, link.h_res]).view(np.uint64)
+            want = np.array([h_tr, h_rt, h_tr * h_rt]).view(np.uint64)
+            np.testing.assert_array_equal(got, want)
+            counted.generator.standard_normal(normals)
+            assert rng.generator.bit_generator.state == counted.generator.bit_generator.state
+            assert rng.generator.bit_generator.state == fresh.generator.bit_generator.state
+
     def test_distinct_devices_separate(self):
         reader = _reader(h_tx=1.2 + 0.1j, h_rx=0.9 - 0.3j)
         legit = _tag(h_tx=0.8 + 0.3j, h_rx=1.05 + 0.15j)

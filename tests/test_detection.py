@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from backscatter_auth.detection import (
     AuthDecision,
-    DetectorConfig,
     analytic_pd,
     analytic_pfa,
     analytic_pmd,
@@ -214,40 +213,41 @@ class TestAnalyticPd:
 
 
 class TestAuthenticate:
-    def _config(self, **kw):
-        defaults = dict(ground_truth=1 + 0j, est_variance=0.04, target_pfa=0.1)
-        defaults.update(kw)
-        return DetectorConfig(**defaults)
+    GROUND_TRUTH, VARIANCE, TARGET = 1 + 0j, 0.04, 0.1
 
     def test_exact_match_accepts(self):
-        config = self._config()
         est = FingerprintEstimate(value=1 + 0j, error_variance=0.04)
-        decision = authenticate(est, config)
+        decision = authenticate(est, self.GROUND_TRUTH, self.VARIANCE, self.TARGET)
         assert decision.statistic == 0.0
         assert decision.accepted
 
     def test_tie_rejects(self):
-        config = self._config(ground_truth=0j)
-        est = FingerprintEstimate(value=complex(config.threshold, 0.0), error_variance=0.04)
-        decision = authenticate(est, config)
-        assert decision.statistic == config.threshold
+        threshold = design_threshold(self.TARGET, self.VARIANCE)
+        est = FingerprintEstimate(value=complex(threshold, 0.0), error_variance=0.04)
+        decision = authenticate(est, 0j, self.VARIANCE, self.TARGET)
+        assert decision.statistic == threshold
         assert not decision.accepted
 
     def test_variance_mismatch_warns_but_decides(self):
-        config = self._config()
         est = FingerprintEstimate(value=1 + 0j, error_variance=0.9)
         with pytest.warns(UserWarning):
-            decision = authenticate(est, config)
+            decision = authenticate(est, self.GROUND_TRUTH, self.VARIANCE, self.TARGET)
         assert decision.accepted
 
     def test_threshold_recomputed_from_target(self):
-        config = self._config(est_variance=0.25, target_pfa=0.05)
-        assert config.threshold == pytest.approx(
+        est = FingerprintEstimate(value=1 + 0j, error_variance=0.25)
+        decision = authenticate(est, self.GROUND_TRUTH, 0.25, 0.05)
+        assert decision.threshold_used == design_threshold(0.05, 0.25)
+        assert decision.threshold_used == pytest.approx(
             math.sqrt(-math.log(0.05) * 0.25), rel=1e-15)
 
     def test_invalid_target_rejected(self):
-        with pytest.raises(ParameterError):
-            self._config(target_pfa=0.0)
+        est = FingerprintEstimate(value=1 + 0j, error_variance=0.04)
+        for target in (0.0, 1.0, math.nan):
+            # twice in a row: a rejected target is never served from the cache
+            for _ in range(2):
+                with pytest.raises(ParameterError):
+                    authenticate(est, self.GROUND_TRUTH, self.VARIANCE, target)
 
     def test_decision_fields(self):
         decision = AuthDecision(statistic=0.5, accepted=False, threshold_used=0.3)

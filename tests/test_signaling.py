@@ -7,7 +7,7 @@ import pytest
 
 from backscatter_auth.channel import LinkRealization
 from backscatter_auth.errors import ParameterError, ShapeError
-from backscatter_auth.rng import RngHandle
+from backscatter_auth.rng import RngHandle, sample_complex_normal_array
 from backscatter_auth.signaling import (
     LinkNoiseParams,
     SignalFrame,
@@ -157,6 +157,39 @@ class TestExchange:
         y = exchange(SignalFrame.all_ones(17), UNIT_LINK, UNIT_TX,
                      LinkNoiseParams(sigma2_r=1.0), RngHandle(0))
         assert len(y) == 17
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_response_frame_is_the_locked_draw(self, n):
+        # the response frame keeps the freshly drawn array instead of a copy:
+        # it must still be locked, private, and carry a copied frame's bits
+        challenge = SignalFrame.all_ones(n)
+        link = LinkRealization(h_tr=1.1 + 0.3j, h_rt=0.7 - 0.2j)
+        tx = TxParams(p_r=2.0, eta=0.5)
+        noise = LinkNoiseParams(sigma2_r=0.5, sigma2_si_r=0.25, sigma2_si_t=0.25)
+        frame = exchange(challenge, link, tx, noise, RngHandle(404))
+
+        assert not frame.symbols.flags.writeable
+        with pytest.raises(ValueError):
+            frame.symbols.setflags(write=True)
+        with pytest.raises(ValueError):
+            frame.symbols[0] = 0j
+        assert not np.shares_memory(frame.symbols, challenge.symbols)
+        other = exchange(challenge, link, tx, noise, RngHandle(404))
+        assert not np.shares_memory(frame.symbols, other.symbols)
+
+        y = sample_complex_normal_array(RngHandle(404), 0j, noise.total_variance, n)
+        y += response_gain(link, tx) * challenge.symbols
+        copied = SignalFrame(y.copy())
+        np.testing.assert_array_equal(frame.symbols.view(np.uint64),
+                                      copied.symbols.view(np.uint64))
+        assert frame.energy == copied.energy
+
+    def test_non_finite_response_rejected(self):
+        # |h_res| overflows, so the drawn response is not finite
+        link = LinkRealization(h_tr=1e200 + 0j, h_rt=1e200 + 0j)
+        with pytest.raises(ParameterError):
+            exchange(SignalFrame.all_ones(4), link, UNIT_TX, LinkNoiseParams(sigma2_r=1.0),
+                     RngHandle(0))
 
 
 class TestExchangeExpanded:

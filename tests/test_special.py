@@ -362,6 +362,14 @@ class TestMarcumGrid:
         with pytest.raises(ParameterError, match="overflow"):
             marcum_q1_grid(1e200, 1e200)
 
+    @pytest.mark.parametrize("a", [1e100, 1.2e154])
+    def test_overflowing_window_product_rejected(self, a):
+        # a^2/2 and b^2/2 are finite here, but their product is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="overflow"):
+                marcum_q1_grid(np.array([1.0, a]), np.array([1.0, a]))
+
 
 class TestRiceCdf:
     def test_at_zero(self):
