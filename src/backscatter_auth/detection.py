@@ -15,14 +15,12 @@ detection of 1e-26, say).
 
 There is no detector object: ``authenticate`` takes the enrolled
 fingerprint, the estimation-error variance and the target false-alarm rate
-with each estimate, and reads its threshold from ``design_threshold``
-through a cache keyed on (target, variance), so a threshold is never set
-freely and an episode does not re-derive it.
+with each estimate, and derives its threshold from them with
+``design_threshold``, so a threshold is never set freely.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -129,17 +127,11 @@ class AuthDecision:
     threshold_used: float
 
 
-@functools.lru_cache(maxsize=128)
-def _threshold(target_pfa: float, est_variance: float) -> float:
-    # exceptions are not cached: a bad target or variance raises on every call
-    return design_threshold(target_pfa, est_variance)
-
-
 def authenticate(estimate: FingerprintEstimate, ground_truth: complex,
                  est_variance: float, target_pfa: float) -> AuthDecision:
     """Compare the fingerprint estimate against the enrolled ground truth at
     the threshold ``design_threshold(target_pfa, est_variance)``."""
-    threshold = _threshold(target_pfa, est_variance)
+    threshold = design_threshold(target_pfa, est_variance)
     if not math.isclose(estimate.error_variance, est_variance, rel_tol=1e-9, abs_tol=0.0):
         warnings.warn(
             "estimate error_variance "

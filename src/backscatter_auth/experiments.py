@@ -260,8 +260,8 @@ def run_trial(scenario: Scenario, link: LinkRealization, target_pfa: float,
     cached values, so it stays bit-identical to a loop of this function; the
     engine's kernel matches it in distribution only.  No detector object is
     built: `authenticate` takes the scenario's enrolled fingerprint and
-    variance directly and reads its threshold from a cache keyed on
-    (target_pfa, est_variance)."""
+    variance directly and derives its threshold from that variance and
+    target_pfa with `design_threshold` on every call."""
     challenge = SignalFrame.all_ones(scenario.n_train)
     response = exchange(challenge, link, scenario.tx, scenario.noise, rng)
     estimate = ls_estimate(challenge, response, scenario.tx, scenario.noise)

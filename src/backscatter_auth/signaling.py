@@ -40,15 +40,22 @@ class SignalFrame:
 
     def __post_init__(self):
         # private copy: freezing a caller-owned array would be a side effect
-        _take_symbols(self, np.array(self.symbols, dtype=np.complex128, copy=True))
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "SignalFrame":
-        """The frame of a freshly drawn complex128 array that no caller holds:
-        checked like any frame and locked in place, not copied."""
-        frame = object.__new__(cls)
-        _take_symbols(frame, arr)
-        return frame
+        arr = np.array(self.symbols, dtype=np.complex128, copy=True)
+        if arr.ndim != 1 or arr.size < 1:
+            raise ShapeError(f"frame must be a nonempty 1-D sequence, got shape {arr.shape}")
+        energy = float(np.vdot(arr, arr).real)
+        # a finite, nonzero energy proves the symbols finite and not all zero;
+        # only a frame whose energy overflows, underflows or is NaN needs the
+        # elementwise checks
+        if not 0.0 < energy < math.inf:
+            if not np.isfinite(arr).all():
+                raise ParameterError("frame contains non-finite symbols")
+            if not arr.any():
+                raise ParameterError("all-zero training frame (zero energy)")
+        arr.setflags(write=False)
+        # a view of the locked array cannot be made writable again
+        object.__setattr__(self, "symbols", arr.view())
+        object.__setattr__(self, "energy", energy)
 
     def __len__(self) -> int:
         return self.symbols.size
@@ -61,30 +68,6 @@ class SignalFrame:
         if n < 1:
             raise ParameterError(f"frame length must be >= 1, got {n}")
         return _all_ones(n)
-
-
-def _take_symbols(frame: SignalFrame, arr: np.ndarray) -> None:
-    """Check ``arr``, a complex128 array that only ``frame`` will hold, as
-    its symbols; lock it and set the frame's symbols and energy."""
-    if arr.ndim != 1 or arr.size < 1:
-        raise ShapeError(f"frame must be a nonempty 1-D sequence, got shape {arr.shape}")
-    energy = float(np.vdot(arr, arr).real)
-    # a finite, nonzero energy proves the symbols finite and not all zero;
-    # only a frame whose energy overflows, underflows or is NaN needs the
-    # elementwise checks
-    if not 0.0 < energy < math.inf:
-        if not np.isfinite(arr).all():
-            raise ParameterError("frame contains non-finite symbols")
-        if not arr.any():
-            raise ParameterError("all-zero training frame (zero energy)")
-    arr.setflags(write=False)
-    if arr.base is not None:
-        # a view's buffer is locked too, or the frame could be unlocked
-        # through it; no caller holds that buffer
-        arr.base.setflags(write=False)
-    # a view of the locked array cannot be made writable again
-    object.__setattr__(frame, "symbols", arr.view())
-    object.__setattr__(frame, "energy", energy)
 
 
 @functools.lru_cache(maxsize=32)
@@ -144,7 +127,7 @@ def exchange(
     x = challenge.symbols
     y = sample_complex_normal_array(rng, 0j, noise.total_variance, x.size)
     y += response_gain(link, tx) * x
-    return SignalFrame._adopt(y)  # y is this call's own draw: no copy
+    return SignalFrame(y)
 
 
 def exchange_expanded(

@@ -244,7 +244,7 @@ class TestAuthenticate:
     def test_invalid_target_rejected(self):
         est = FingerprintEstimate(value=1 + 0j, error_variance=0.04)
         for target in (0.0, 1.0, math.nan):
-            # twice in a row: a rejected target is never served from the cache
+            # twice in a row: a rejected target raises on every call
             for _ in range(2):
                 with pytest.raises(ParameterError):
                     authenticate(est, self.GROUND_TRUTH, self.VARIANCE, target)

@@ -159,9 +159,9 @@ class TestExchange:
         assert len(y) == 17
 
     @pytest.mark.parametrize("n", [1, 16])
-    def test_response_frame_is_the_locked_draw(self, n):
-        # the response frame keeps the freshly drawn array instead of a copy:
-        # it must still be locked, private, and carry a copied frame's bits
+    def test_response_frame_is_locked_and_private(self, n):
+        # the response frame is locked, shares no memory with any array the
+        # caller holds, and carries the bits of a frame built from the draw
         challenge = SignalFrame.all_ones(n)
         link = LinkRealization(h_tr=1.1 + 0.3j, h_rt=0.7 - 0.2j)
         tx = TxParams(p_r=2.0, eta=0.5)
