@@ -4,8 +4,10 @@ Exit codes are stable: 0 success (or authentication accept), 1 any error
 (bad config, unwritable output, failed validation), 2 authentication
 reject.  CSV output is byte-deterministic for a fixed config and seed:
 17-significant-digit shortest-form floats, '.' decimal separator, LF line
-endings.  Each file-emitting command writes manifest.json last, so the
-manifest's presence signals a complete run.
+endings.  Each file-emitting command removes manifest.json first and
+writes it last, so the manifest's presence signals a complete run.  Every
+output is written as a new file in place of whatever held its name, so a
+link at an output name is replaced, never written through.
 """
 
 from __future__ import annotations
@@ -57,15 +59,23 @@ def _roc_csv(curve: RocCurve) -> str:
 
 
 def _write_text(path: Path, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Replace whatever holds the name with a new file.  Truncating an old
+    file in place makes ext4 flush it on close, which costs a sweep more
+    than its computation; a new file has nothing to flush.  Mode "x" also
+    refuses a link that appears at the name after the unlink."""
+    path.unlink(missing_ok=True)
+    with open(path, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(content)
 
 
 def _prepare_out_dir(out: str) -> Path:
+    """The output directory, writable and holding no manifest of an earlier
+    run, so that a run that fails part way leaves no manifest behind."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     probe = out_dir / ".write_probe"
-    probe.write_text("")
+    _write_text(probe, "")
     probe.unlink()
     return out_dir
 

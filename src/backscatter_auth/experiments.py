@@ -36,7 +36,7 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,6 +71,13 @@ def checked_pfa_grid(values) -> tuple[float, ...]:
     return grid
 
 
+def checked_mu_mag(value) -> float:
+    """The attacker's fingerprint distance as a float: finite and >= 0."""
+    if not math.isfinite(value) or value < 0.0:
+        raise ConfigurationError(f"mu_mag must be >= 0, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One ROC experiment: operating point, grid, and Monte Carlo budget.
@@ -92,8 +99,7 @@ class ExperimentConfig:
         if int(self.n_train) < 1:
             raise ConfigurationError(f"n_train must be >= 1, got {self.n_train!r}")
         object.__setattr__(self, "n_train", int(self.n_train))
-        if not math.isfinite(self.mu_mag) or self.mu_mag < 0.0:
-            raise ConfigurationError(f"mu_mag must be >= 0, got {self.mu_mag!r}")
+        object.__setattr__(self, "mu_mag", checked_mu_mag(self.mu_mag))
         object.__setattr__(self, "pfa_grid", checked_pfa_grid(self.pfa_grid))
         if int(self.trials) < 0:
             raise ConfigurationError(f"trials must be >= 0, got {self.trials!r}")
@@ -355,12 +361,12 @@ def roc_empirical(config: ExperimentConfig) -> RocCurve:
 
 def sweep_attacker(base: ExperimentConfig, mu_grid) -> list[RocCurve]:
     """Analytic ROC curves over attacker fingerprint distances, SINR held;
-    each distance is checked as the config's mu_mag.  pd = Q1 at the
+    each distance is checked as a config's mu_mag is.  pd = Q1 at the
     threshold designed for each grid pfa, read directly rather than as
     1 - missed-detection probability.  The variance and the thresholds are
     computed once, every (distance, pfa) point in one Marcum grid call, and
     each row of that grid is one curve."""
-    mus = [replace(base, mu_mag=float(mu)).mu_mag for mu in mu_grid]
+    mus = [checked_mu_mag(float(mu)) for mu in mu_grid]
     if not mus:
         raise ParameterError("mu_grid must be nonempty")
     v = base.est_variance

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
 import pytest
 
+from backscatter_auth import cli
 from backscatter_auth.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, build_parser, main
 
 ROC_CONFIG = """\
@@ -182,6 +184,61 @@ class TestSweepCommand:
     def test_missing_required_flag_is_exit_1(self, tmp_path, capsys):
         cfg = _write(tmp_path, ROC_CONFIG)
         assert main(["sweep", "--config", cfg]) == EXIT_ERROR
+
+
+class TestOutputFiles:
+    """Each output replaces its name with a new file: never truncated in
+    place, never written through a link, the manifest gone until the run
+    completes."""
+
+    NAMES = ("roc_analytic.csv", "roc_empirical.csv")
+
+    def test_rerun_writes_new_files_with_the_same_bytes(self, tmp_path):
+        cfg = _write(tmp_path, ROC_CONFIG)
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        # hard links hold the first run's inodes alive, so the rerun's files
+        # cannot be given their numbers again
+        kept.mkdir()
+        first = {}
+        for name in self.NAMES:
+            os.link(out / name, kept / name)
+            first[name] = ((out / name).read_bytes(), (out / name).stat().st_ino)
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        for name, (data, ino) in first.items():
+            assert (out / name).read_bytes() == data
+            assert (out / name).stat().st_ino != ino
+            assert (kept / name).stat().st_ino == ino
+
+    def test_links_at_output_names_are_replaced(self, tmp_path):
+        cfg = _write(tmp_path, ROC_CONFIG)
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        out.mkdir()
+        elsewhere.mkdir()
+        for name in self.NAMES:
+            (elsewhere / name).write_text("not an output\n")
+        (out / "roc_analytic.csv").symlink_to(elsewhere / "roc_analytic.csv")
+        os.link(elsewhere / "roc_empirical.csv", out / "roc_empirical.csv")
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        for name in self.NAMES:
+            assert not (out / name).is_symlink()
+            assert (out / name).stat().st_nlink == 1
+            assert _rows(out / name)
+            assert (elsewhere / name).read_text() == "not an output\n"
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        cfg = _write(tmp_path, ROC_CONFIG)
+        out = tmp_path / "out"
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert (out / "manifest.json").exists()
+
+        def fail(config):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "roc_empirical", fail)
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert "no space left on device" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "roc_demo.cfg"
