@@ -10,6 +10,8 @@ import pytest
 
 from backscatter_auth import cli
 from backscatter_auth.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, build_parser, main
+from backscatter_auth.config import load_config
+from backscatter_auth.experiments import ExperimentConfig
 
 ROC_CONFIG = """\
 [experiment]
@@ -239,6 +241,47 @@ class TestOutputFiles:
         assert main(["roc", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
         assert "no space left on device" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+
+class TestManifest:
+    """manifest.json: seven keys, sorted, indent 2, LF-terminated, the
+    emitted files in the order they were written."""
+
+    KEYS = {"command", "config_digest", "config_path", "emitted_files",
+            "output_dir", "seed", "wall_time_s"}
+
+    @pytest.mark.parametrize("command,trials,extra,emitted", [
+        ("roc", 2000, [], ["roc_analytic.csv", "roc_empirical.csv"]),
+        ("roc", 0, [], ["roc_analytic.csv"]),
+        # write order follows --mu-list, not the sorted names
+        ("sweep", 2000, ["--mu-list", "2.0,0.5,1.0"],
+         ["roc_mu_2.0000.csv", "roc_mu_0.5000.csv", "roc_mu_1.0000.csv"]),
+    ])
+    def test_format(self, tmp_path, command, trials, extra, emitted):
+        cfg = _write(tmp_path, ROC_CONFIG.replace("trials = 20000", f"trials = {trials}"))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_OK
+
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(text)
+        assert set(manifest) == self.KEYS
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert manifest["command"] == command
+        assert manifest["config_path"] == cfg
+        assert manifest["output_dir"] == str(out)
+        assert manifest["seed"] == 422
+        assert isinstance(manifest["wall_time_s"], float) and manifest["wall_time_s"] >= 0.0
+
+        assert manifest["emitted_files"] == emitted
+        written = [(out / name).stat().st_mtime_ns for name in emitted]
+        assert written == sorted(written)
+        assert (out / "manifest.json").stat().st_mtime_ns >= written[-1]
+
+        doc = load_config(cfg)
+        expected = ExperimentConfig(
+            sinr_db=5.0, n_train=1, mu_mag=1.0, pfa_grid=doc.get_pfa_grid(),
+            trials=trials, seed=422)
+        assert manifest["config_digest"] == expected.digest()
 
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "roc_demo.cfg"
