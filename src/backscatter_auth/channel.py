@@ -5,23 +5,20 @@ and receive); the two gains differ in general, which is what makes the
 end-to-end channel non-reciprocal and device-specific.  A link realization
 carries the two directional channels and their product, the residual
 channel, which serves as the tag's fingerprint.
+
+A device carries no role label: the reader goes first in ``make_link``,
+and a scenario's links say which tag is legitimate.  The residual does not
+depend on the device order.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ParameterError
 from .rng import RngHandle, complex_normal_from, sample_complex_normal
-
-
-class Role(enum.Enum):
-    READER = "reader"
-    LEGIT_TAG = "ltag"
-    MALICIOUS_TAG = "mtag"
 
 
 @dataclass(frozen=True)
@@ -30,7 +27,6 @@ class DeviceModel:
 
     h_tx: complex
     h_rx: complex
-    role: Role = Role.READER
 
     def __post_init__(self):
         for name, h in (("h_tx", self.h_tx), ("h_rx", self.h_rx)):
@@ -68,11 +64,6 @@ class RayleighFadingChannel:
 
 RfChannelSpec = FixedChannel | RayleighFadingChannel
 
-# bound once: make_link runs per episode, and each Role.X is an attribute lookup
-_READER = Role.READER
-_TAG_ROLES = (Role.LEGIT_TAG, Role.MALICIOUS_TAG)
-
-
 @dataclass(frozen=True)
 class LinkRealization:
     """One draw of the two directional channels; h_res is always their product."""
@@ -93,15 +84,12 @@ def make_link(
     rng: RngHandle,
 ) -> LinkRealization:
     """Compose reader->tag and tag->reader channels through the devices'
-    chain gains and the propagation gains drawn from the RF specs.
+    chain gains and the propagation gains drawn from the RF specs.  The reader
+    goes first, but h_res, the product of all six gains, is order-free.
 
     The forward gain is drawn first, then the reverse gain.  When both specs
     fade, the two gains come from one ``standard_normal(4)``, which uses the
     stream exactly as two ``realize`` calls would (C-order fill)."""
-    if reader.role is not _READER:
-        raise ConfigurationError(f"reader argument has role {reader.role}")
-    if tag.role not in _TAG_ROLES:
-        raise ConfigurationError(f"tag argument has role {tag.role}")
     if type(forward_rf) is RayleighFadingChannel and type(reverse_rf) is RayleighFadingChannel:
         f_re, f_im, r_re, r_im = rng.generator.standard_normal(4).tolist()
         g_forward = complex_normal_from(f_re, f_im, 0j, forward_rf.variance)

@@ -17,7 +17,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -94,68 +93,48 @@ def _experiment_from(doc: ConfigDocument, args) -> ExperimentConfig:
         common["seed"] = args.seed
     if args.trials is not None:
         common["trials"] = args.trials
-    if doc.has("experiment", "sinr_db"):
+    if "sinr_db" in doc.sections["experiment"]:
         return ExperimentConfig(sinr_db=doc.get_float("experiment", "sinr_db"), **common)
     if "signaling" in doc.sections:
-        tx, noise = signaling_params(doc)
-        return ExperimentConfig.from_raw(
-            p_r=tx.p_r,
-            eta=tx.eta,
-            sigma2_r=noise.sigma2_r,
-            sigma2_si_r=noise.sigma2_si_r,
-            sigma2_si_t=noise.sigma2_si_t,
-            **common,
-        )
+        return ExperimentConfig.from_raw(*signaling_params(doc), **common)
     raise ConfigurationError(
         f"{doc.path}: need either [experiment] sinr_db or a [signaling] section"
     )
 
 
-@dataclass
-class RunManifest:
-    """Completion record of a file-emitting command; written last, so its
-    presence in the output directory signals a finished run."""
-
-    command: str
-    config_path: str
-    config_digest: str
-    output_dir: str
-    emitted_files: list[str] = field(default_factory=list)
-    seed: int = 0
-    wall_time_s: float = 0.0
-
-    def write(self, out_dir: Path) -> None:
-        _write_text(out_dir / "manifest.json",
-                    json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(out_dir: Path, command: str, doc: ConfigDocument,
-                    digest: str, emitted: list[str], started: float,
-                    seed: int) -> None:
-    RunManifest(
-        command=command,
-        config_path=str(doc.path),
-        config_digest=digest,
-        output_dir=str(out_dir),
-        emitted_files=emitted,
-        seed=seed,
-        wall_time_s=round(time.perf_counter() - started, 6),
-    ).write(out_dir)
-
-
-def _cmd_roc(args) -> int:
+def _write_run(args, command: str, curves) -> tuple[list[str], Path]:
+    """Load the config, build the experiment, prepare the directory, write
+    each (name, curve) that ``curves(cfg)`` yields, then manifest.json last;
+    returns the emitted names and the directory."""
     started = time.perf_counter()
     doc = load_config(args.config)
     cfg = _experiment_from(doc, args)
     out_dir = _prepare_out_dir(args.out)
 
-    emitted: list[str] = []
-    _write_text(out_dir / "roc_analytic.csv", _roc_csv(roc_analytic(cfg)))
-    emitted.append("roc_analytic.csv")
-    if cfg.trials > 0:
-        _write_text(out_dir / "roc_empirical.csv", _roc_csv(roc_empirical(cfg)))
-        emitted.append("roc_empirical.csv")
-    _write_manifest(out_dir, "roc", doc, cfg.digest(), emitted, started, cfg.seed)
+    emitted = []
+    for name, curve in curves(cfg):
+        _write_text(out_dir / name, _roc_csv(curve))
+        emitted.append(name)
+    manifest = {
+        "command": command,
+        "config_path": str(doc.path),
+        "config_digest": cfg.digest(),
+        "output_dir": str(out_dir),
+        "emitted_files": emitted,
+        "seed": cfg.seed,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+    }
+    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return emitted, out_dir
+
+
+def _cmd_roc(args) -> int:
+    def curves(cfg):
+        yield "roc_analytic.csv", roc_analytic(cfg)
+        if cfg.trials > 0:
+            yield "roc_empirical.csv", roc_empirical(cfg)
+
+    emitted, out_dir = _write_run(args, "roc", curves)
     print(f"wrote {', '.join(emitted)} to {out_dir}")
     return EXIT_OK
 
@@ -181,19 +160,10 @@ def _mu_values(mu_list: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    mu_values = _mu_values(args.mu_list)
-    doc = load_config(args.config)
-    cfg = _experiment_from(doc, args)
-    out_dir = _prepare_out_dir(args.out)
-
-    curves = sweep_attacker(cfg, mu_values)
-    emitted = []
-    for mu, curve in zip(mu_values, curves):
-        name = _sweep_file(mu)
-        _write_text(out_dir / name, _roc_csv(curve))
-        emitted.append(name)
-    _write_manifest(out_dir, "sweep", doc, cfg.digest(), emitted, started, cfg.seed)
+    mu_values = _mu_values(args.mu_list)  # a usage error comes before the config
+    emitted, out_dir = _write_run(
+        args, "sweep",
+        lambda cfg: zip(map(_sweep_file, mu_values), sweep_attacker(cfg, mu_values)))
     print(f"wrote {len(emitted)} curve(s) to {out_dir}")
     return EXIT_OK
 
@@ -304,10 +274,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
-    except (ConfigurationError, ParameterError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ConfigurationError, ParameterError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

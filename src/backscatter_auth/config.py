@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import DeviceModel, Role
+from .channel import DeviceModel
 from .errors import ConfigurationError
 from .experiments import checked_pfa_grid
 from .signaling import LinkNoiseParams, TxParams
@@ -35,7 +35,7 @@ KNOWN_KEYS: dict[str, set[str]] = {
     },
 }
 
-_ROLE_BY_NAME = {"reader": Role.READER, "ltag": Role.LEGIT_TAG, "mtag": Role.MALICIOUS_TAG}
+_SECTION_HEADER = re.compile(r"\s*\[(?P<name>.+)\]")  # configparser's header form
 
 
 @dataclass
@@ -46,20 +46,23 @@ class ConfigDocument:
     sections: dict[str, dict[str, str]]
     _source_lines: list[str]
 
-    def line_of(self, key: str) -> int | None:
-        pattern = re.compile(rf"^\s*{re.escape(key)}\s*[=:]")
+    def line_of(self, section: str, key: str) -> int | None:
+        """The line of `key` inside `section`, the key matched in any case
+        because configparser lowercases option names."""
+        pattern = re.compile(rf"\s*{re.escape(key)}\s*[=:]", re.IGNORECASE)
+        in_section = False
         for i, line in enumerate(self._source_lines, start=1):
-            if pattern.match(line):
+            header = _SECTION_HEADER.match(line)
+            if header:
+                in_section = header["name"] == section
+            elif in_section and pattern.match(line):
                 return i
         return None
 
     def error(self, section: str, key: str, message: str) -> ConfigurationError:
-        line = self.line_of(key)
+        line = self.line_of(section, key)
         where = f"line {line}" if line is not None else "line unknown"
         return ConfigurationError(f"{self.path}: [{section}] {key} ({where}): {message}")
-
-    def has(self, section: str, key: str) -> bool:
-        return key in self.sections.get(section, {})
 
     def raw(self, section: str, key: str) -> str:
         try:
@@ -99,7 +102,8 @@ class ConfigDocument:
             raise self.error(section, key, f"must be one of {choices}, got {text!r}")
         return text
 
-    def get_pfa_grid(self, section: str = "experiment", key: str = "pfa_grid") -> tuple[float, ...]:
+    def get_pfa_grid(self) -> tuple[float, ...]:
+        section, key = "experiment", "pfa_grid"
         text = self.raw(section, key).strip()
         if text.startswith("linspace:"):
             parts = text.split(":")
@@ -135,17 +139,14 @@ def load_config(path: str | Path) -> ConfigDocument:
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
-    sections: dict[str, dict[str, str]] = {}
+    doc = ConfigDocument(path=path, sections={}, _source_lines=text.splitlines())
     for section in parser.sections():
         if section not in KNOWN_KEYS:
             raise ConfigurationError(
                 f"{path}: unknown section [{section}] "
                 f"(known: {', '.join(sorted(KNOWN_KEYS))})"
             )
-        sections[section] = dict(parser.items(section))
-
-    doc = ConfigDocument(path=path, sections=sections, _source_lines=text.splitlines())
-    for section, items in sections.items():
+        doc.sections[section] = items = dict(parser.items(section))
         for key in items:
             if key not in KNOWN_KEYS[section]:
                 raise doc.error(section, key, "unknown key")
@@ -166,5 +167,4 @@ def device_from(doc: ConfigDocument, role_name: str) -> DeviceModel:
     return DeviceModel(
         h_tx=doc.get_complex("device", f"{role_name}_h_tx"),
         h_rx=doc.get_complex("device", f"{role_name}_h_rx"),
-        role=_ROLE_BY_NAME[role_name],
     )

@@ -6,7 +6,7 @@ class ParameterError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """A scenario or config file is structurally invalid (bad role, unknown key, ...)."""
+    """A scenario or config file is structurally invalid (unknown key, bad value, ...)."""
 
 
 class ShapeError(ValueError):

@@ -3,8 +3,8 @@
 Detector performance depends on the scenario only through the estimation
 error variance (equivalently SINR and training length) and the fingerprint
 distance, so experiments are parameterized by (sinr_db, n_train, mu_mag).
-Raw physical parameters are accepted and reduced via
-``ExperimentConfig.from_raw``.
+``ExperimentConfig.from_raw`` reduces the raw ``TxParams`` and
+``LinkNoiseParams`` of a signaling section to that form.
 
 The canonical scenario behind every run: unit reader power, unit aggregate
 noise variance, tag amplification set from the SINR, unit-modulus training,
@@ -36,11 +36,12 @@ import enum
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DeviceModel, FixedChannel, LinkRealization, Role, make_link
+from .channel import DeviceModel, FixedChannel, LinkRealization, make_link
 from .detection import (
     analytic_pd,
     authenticate,
@@ -83,7 +84,8 @@ class ExperimentConfig:
     """One ROC experiment: operating point, grid, and Monte Carlo budget.
 
     trials = 0 is accepted and means "analytic only"; the empirical engine
-    refuses to run on it.
+    refuses to run on it.  n_train, trials and seed must be integers
+    (numpy's included); a float is refused even when integral.
     """
 
     sinr_db: float
@@ -96,17 +98,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if not math.isfinite(self.sinr_db):
             raise ConfigurationError(f"sinr_db must be finite, got {self.sinr_db!r}")
-        if int(self.n_train) < 1:
+        for name in ("n_train", "trials", "seed"):
+            value = getattr(self, name)
+            try:  # 8.9 is refused, not truncated to 8
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        if self.n_train < 1:
             raise ConfigurationError(f"n_train must be >= 1, got {self.n_train!r}")
-        object.__setattr__(self, "n_train", int(self.n_train))
         object.__setattr__(self, "mu_mag", checked_mu_mag(self.mu_mag))
         object.__setattr__(self, "pfa_grid", checked_pfa_grid(self.pfa_grid))
-        if int(self.trials) < 0:
+        if self.trials < 0:
             raise ConfigurationError(f"trials must be >= 0, got {self.trials!r}")
-        object.__setattr__(self, "trials", int(self.trials))
-        if not (0 <= int(self.seed) < 2**64):
+        if not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def est_variance(self) -> float:
@@ -116,33 +121,13 @@ class ExperimentConfig:
         return scenario_for(self).est_variance
 
     @classmethod
-    def from_raw(
-        cls,
-        p_r: float,
-        eta: float,
-        sigma2_r: float,
-        sigma2_si_r: float,
-        sigma2_si_t: float,
-        n_train: int,
-        mu_mag: float,
-        pfa_grid: tuple[float, ...],
-        trials: int,
-        seed: int,
-    ) -> "ExperimentConfig":
-        """Reduce raw physical parameters to the (SINR, N, mu) form."""
-        tx = TxParams(p_r=p_r, eta=eta)
-        noise = LinkNoiseParams(sigma2_r, sigma2_si_r, sigma2_si_t)
+    def from_raw(cls, tx: TxParams, noise: LinkNoiseParams, **fields) -> "ExperimentConfig":
+        """Reduce raw physical parameters to the (SINR, N, mu) form; `fields`
+        are the remaining fields (n_train, mu_mag, pfa_grid, trials, seed)."""
         if noise.total_variance <= 0.0:
             raise ConfigurationError("total noise variance must be > 0 to define an SINR")
         sinr = tx.eta**2 * tx.p_r / noise.total_variance
-        return cls(
-            sinr_db=10.0 * math.log10(sinr),
-            n_train=n_train,
-            mu_mag=mu_mag,
-            pfa_grid=pfa_grid,
-            trials=trials,
-            seed=seed,
-        )
+        return cls(sinr_db=10.0 * math.log10(sinr), **fields)
 
     def digest(self) -> str:
         payload = json.dumps(
@@ -242,11 +227,10 @@ def canonical_scenario(sinr_db: float, n_train: int, mu_mag: float) -> Scenario:
     """Unit-power, unit-noise scenario hitting the requested SINR, with the
     malicious tag's transmit chain offset so the residual distance is mu_mag."""
     return build_scenario(
-        reader=DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j, role=Role.READER),
-        legit_tag=DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j, role=Role.LEGIT_TAG),
+        reader=DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j),
+        legit_tag=DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j),
         # independent transmit chain, never derived from the legitimate tag's
-        malicious_tag=DeviceModel(h_tx=(1.0 + mu_mag) + 0j, h_rx=1 + 0j,
-                                  role=Role.MALICIOUS_TAG),
+        malicious_tag=DeviceModel(h_tx=(1.0 + mu_mag) + 0j, h_rx=1 + 0j),
         tx=TxParams(p_r=1.0, eta=math.sqrt(10.0 ** (sinr_db / 10.0))),
         noise=LinkNoiseParams(sigma2_r=0.5, sigma2_si_r=0.25, sigma2_si_t=0.25),
         n_train=n_train,

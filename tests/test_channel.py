@@ -10,19 +10,18 @@ from backscatter_auth.channel import (
     FixedChannel,
     LinkRealization,
     RayleighFadingChannel,
-    Role,
     make_link,
 )
-from backscatter_auth.errors import ConfigurationError, ParameterError
+from backscatter_auth.errors import ParameterError
 from backscatter_auth.rng import RngHandle, sample_complex_normal_array
 
 
 def _reader(h_tx=1 + 0j, h_rx=1 + 0j):
-    return DeviceModel(h_tx=h_tx, h_rx=h_rx, role=Role.READER)
+    return DeviceModel(h_tx=h_tx, h_rx=h_rx)
 
 
-def _tag(h_tx=1 + 0j, h_rx=1 + 0j, role=Role.LEGIT_TAG):
-    return DeviceModel(h_tx=h_tx, h_rx=h_rx, role=role)
+def _tag(h_tx=1 + 0j, h_rx=1 + 0j):
+    return DeviceModel(h_tx=h_tx, h_rx=h_rx)
 
 
 UNIT = FixedChannel(1 + 0j)
@@ -57,11 +56,23 @@ class TestMakeLink:
         assert link.h_rt == 1 + 0j
         assert link.h_res == 6 + 0j
 
-    def test_role_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_link(_tag(), _tag(), UNIT, UNIT, RngHandle(0))
-        with pytest.raises(ConfigurationError):
-            make_link(_reader(), _reader(), UNIT, UNIT, RngHandle(0))
+    def test_swapped_devices_same_residual(self):
+        # h_res is the product of the same six gains whichever device goes
+        # first: bit-equal over unit propagation, where the two factors only
+        # trade places, and equal to rounding when the gains are faded
+        reader = _reader(h_tx=1.2 + 0.1j, h_rx=0.9 - 0.3j)
+        tag = _tag(h_tx=0.8 + 0.3j, h_rx=1.05 + 0.15j)
+        fixed = make_link(reader, tag, UNIT, UNIT, RngHandle(0))
+        swapped = make_link(tag, reader, UNIT, UNIT, RngHandle(0))
+        assert (fixed.h_tr, fixed.h_rt) == (swapped.h_rt, swapped.h_tr)
+        np.testing.assert_array_equal(np.array([fixed.h_res]).view(np.uint64),
+                                      np.array([swapped.h_res]).view(np.uint64))
+
+        fading = RayleighFadingChannel(1.0)
+        for seed in range(100):
+            faded = make_link(reader, tag, fading, fading, RngHandle(seed))
+            swapped = make_link(tag, reader, fading, fading, RngHandle(seed))
+            assert swapped.h_res == pytest.approx(faded.h_res, rel=1e-14)
 
     def test_fixed_spec_ignores_rng_state(self):
         rng = RngHandle(123)
@@ -143,7 +154,7 @@ class TestMakeLink:
     def test_distinct_devices_separate(self):
         reader = _reader(h_tx=1.2 + 0.1j, h_rx=0.9 - 0.3j)
         legit = _tag(h_tx=0.8 + 0.3j, h_rx=1.05 + 0.15j)
-        clone = _tag(h_tx=0.6 - 0.4j, h_rx=1.2 + 0.1j, role=Role.MALICIOUS_TAG)
+        clone = _tag(h_tx=0.6 - 0.4j, h_rx=1.2 + 0.1j)
         link_l = make_link(reader, legit, UNIT, UNIT, RngHandle(0))
         link_m = make_link(reader, clone, UNIT, UNIT, RngHandle(0))
         assert link_l.h_res != link_m.h_res

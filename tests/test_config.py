@@ -2,7 +2,6 @@
 
 import pytest
 
-from backscatter_auth.channel import Role
 from backscatter_auth.config import device_from, load_config, signaling_params
 from backscatter_auth.errors import ConfigurationError
 
@@ -61,15 +60,26 @@ class TestLoadConfig:
         doc = load_config(_write(tmp_path, FULL_CONFIG))
         reader = device_from(doc, "reader")
         mtag = device_from(doc, "mtag")
-        assert reader.role is Role.READER
         assert reader.h_rx == 0.9 - 0.1j
-        assert mtag.role is Role.MALICIOUS_TAG
         assert mtag.h_tx == 0.6 - 0.4j
 
     def test_unknown_key_names_field_and_line(self, tmp_path):
         text = FULL_CONFIG.replace("seed = 42", "seed = 42\nsede = 1")
         with pytest.raises(ConfigurationError, match=r"sede.*line 26"):
             load_config(_write(tmp_path, text))
+
+    def test_diagnostic_line_is_in_the_named_section(self, tmp_path):
+        # seed is a known key of [experiment] (line 2), unknown in [detector]
+        text = "[experiment]\nseed = 1\n\n[detector]\ntarget_pfa = 0.1\nseed = 2\n"
+        with pytest.raises(ConfigurationError, match=r"\[detector\] seed \(line 6\): unknown key"):
+            load_config(_write(tmp_path, text))
+
+    def test_diagnostic_line_matches_key_in_any_case(self, tmp_path):
+        # configparser lowercases option names; the line is found all the same
+        text = FULL_CONFIG.replace("n_train = 8", "N_TRAIN = x")
+        doc = load_config(_write(tmp_path, text))
+        with pytest.raises(ConfigurationError, match=r"\[experiment\] n_train \(line 21\)"):
+            doc.get_int("experiment", "n_train")
 
     def test_si_power_key_rejected(self, tmp_path):
         # never used in any computation, so it is an unknown key like any other

@@ -17,7 +17,6 @@ from backscatter_auth import experiments
 from backscatter_auth.channel import (
     DeviceModel,
     RayleighFadingChannel,
-    Role,
     make_link,
 )
 from backscatter_auth.detection import design_threshold, fingerprint_distance
@@ -38,6 +37,7 @@ from backscatter_auth.experiments import (
     sweep_attacker,
 )
 from backscatter_auth.rng import RngHandle
+from backscatter_auth.signaling import LinkNoiseParams, TxParams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GRID_50 = tuple(float(p) for p in np.linspace(0.01, 0.99, 50))
@@ -61,7 +61,8 @@ class TestExperimentConfig:
 
     def test_raw_parameter_reduction(self):
         cfg = ExperimentConfig.from_raw(
-            p_r=4.0, eta=0.5, sigma2_r=0.2, sigma2_si_r=0.2, sigma2_si_t=0.1,
+            TxParams(p_r=4.0, eta=0.5),
+            LinkNoiseParams(sigma2_r=0.2, sigma2_si_r=0.2, sigma2_si_t=0.1),
             n_train=8, mu_mag=1.0, pfa_grid=(0.1,), trials=1, seed=0)
         sinr = 0.5**2 * 4.0 / 0.5
         assert cfg.sinr_db == pytest.approx(10 * math.log10(sinr), rel=1e-14)
@@ -81,6 +82,19 @@ class TestExperimentConfig:
             _config(trials=-1)
         with pytest.raises(ConfigurationError):
             _config(seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_train", 8.9), ("n_train", 8.0), ("trials", 2.5), ("seed", 3.7), ("seed", "3"),
+    ])
+    def test_non_integral_fields_rejected(self, field, value):
+        # refused, not truncated: int(8.9) would quietly run n_train = 8
+        with pytest.raises(ConfigurationError, match=field):
+            _config(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        cfg = _config(n_train=np.int64(8), trials=np.uint32(2), seed=np.uint64(2**64 - 1))
+        assert (cfg.n_train, cfg.trials, cfg.seed) == (8, 2, 2**64 - 1)
+        assert all(type(v) is int for v in (cfg.n_train, cfg.trials, cfg.seed))
 
     def test_analytic_only_budget_allowed(self):
         cfg = _config(trials=0)
@@ -132,9 +146,9 @@ class TestEngineEquivalence:
         # links, legitimate and malicious responders alternating; guards the
         # per-authentication path (its stream use, the cached challenge
         # invariants, the LS arithmetic and the decision) against drift
-        reader = DeviceModel(1 + 0j, 1 + 0j, Role.READER)
-        ltag = DeviceModel(0.9 + 0.2j, 1.1 - 0.1j, Role.LEGIT_TAG)
-        mtag = DeviceModel(1.2 - 0.3j, 0.8 + 0.4j, Role.MALICIOUS_TAG)
+        reader = DeviceModel(1 + 0j, 1 + 0j)
+        ltag = DeviceModel(0.9 + 0.2j, 1.1 - 0.1j)
+        mtag = DeviceModel(1.2 - 0.3j, 0.8 + 0.4j)
         fading = RayleighFadingChannel(1.0)
         digest = hashlib.sha256()
         for n_train in (1, 16):
