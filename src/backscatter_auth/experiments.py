@@ -106,6 +106,16 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
         if self.n_train < 1:
             raise ConfigurationError(f"n_train must be >= 1, got {self.n_train!r}")
+        try:  # the canonical scenario's own operations, so its variance is this one
+            variance = estimation_error_variance(_canonical_tx(self.sinr_db), _CANONICAL_NOISE,
+                                                 SignalFrame.all_ones(self.n_train).energy)
+        except (OverflowError, ParameterError):  # 10**x or eta**2 overflows, or eta is 0.0
+            variance = 0.0
+        if not 0.0 < variance < math.inf:
+            raise ConfigurationError(
+                f"sinr_db = {self.sinr_db!r} puts the SINR or the estimation variance "
+                "outside the finite positive doubles")
+        object.__setattr__(self, "_est_variance", variance)
         object.__setattr__(self, "mu_mag", checked_mu_mag(self.mu_mag))
         object.__setattr__(self, "pfa_grid", checked_pfa_grid(self.pfa_grid))
         if self.trials < 0:
@@ -118,7 +128,7 @@ class ExperimentConfig:
         """Estimation-error variance of the canonical scenario (unit-modulus
         training of length n_train): the one value behind the analytic
         curves, the engine's thresholds and its draws."""
-        return scenario_for(self).est_variance
+        return self._est_variance
 
     @classmethod
     def from_raw(cls, tx: TxParams, noise: LinkNoiseParams, **fields) -> "ExperimentConfig":
@@ -223,6 +233,15 @@ def build_scenario(reader: DeviceModel, legit_tag: DeviceModel,
     )
 
 
+_CANONICAL_NOISE = LinkNoiseParams(sigma2_r=0.5, sigma2_si_r=0.25, sigma2_si_t=0.25)
+
+
+def _canonical_tx(sinr_db: float) -> TxParams:
+    """Unit reader power and the tag amplification that hits sinr_db over
+    the canonical unit noise."""
+    return TxParams(p_r=1.0, eta=math.sqrt(10.0 ** (sinr_db / 10.0)))
+
+
 def canonical_scenario(sinr_db: float, n_train: int, mu_mag: float) -> Scenario:
     """Unit-power, unit-noise scenario hitting the requested SINR, with the
     malicious tag's transmit chain offset so the residual distance is mu_mag."""
@@ -231,8 +250,8 @@ def canonical_scenario(sinr_db: float, n_train: int, mu_mag: float) -> Scenario:
         legit_tag=DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j),
         # independent transmit chain, never derived from the legitimate tag's
         malicious_tag=DeviceModel(h_tx=(1.0 + mu_mag) + 0j, h_rx=1 + 0j),
-        tx=TxParams(p_r=1.0, eta=math.sqrt(10.0 ** (sinr_db / 10.0))),
-        noise=LinkNoiseParams(sigma2_r=0.5, sigma2_si_r=0.25, sigma2_si_t=0.25),
+        tx=_canonical_tx(sinr_db),
+        noise=_CANONICAL_NOISE,
         n_train=n_train,
     )
 

@@ -29,7 +29,10 @@ Design notes
     the sum is skipped.  The sum therefore only runs for |a - b| <= 38.61.
     The detector's callers pass b = sqrt(-2 ln pfa) <= 38.6 for any double
     pfa, so a <= 77.2 whenever they reach the sum and every analytic ROC
-    point has bounded cost, however strong the attacker.
+    point has bounded cost, however strong the attacker.  A summed point
+    must lie in the domain max(a, b) <= ``_SUM_DOMAIN`` (120), which
+    ``validation`` certifies against quadrature; any other summed point
+    raises ``ParameterError`` before anything is summed.
 
     Grid kernel: the axes and the cut-off are masks over the whole grid
     (the cut-off squares a - b with one correctly rounded multiply; a libm
@@ -47,9 +50,9 @@ Design notes
     is the loop's own IEEE operation on the loop's operands, and the window
     bounds are the loop's correctly rounded + * / sqrt trunc max: every
     output carries the bits of the scalar loop.  Rows run in blocks of at
-    most ``_BLOCK_ELEMENTS`` per array; a row that has not stopped within
-    its block's width goes on from its carried state.  On the detector's
-    800-point strong-attacker sweep this is one call instead of 800 loops.
+    most ``_BLOCK_ELEMENTS`` per array, each block once: inside the domain
+    every row stops within its window (~1900 steps at the widest).  On the
+    detector's 800-point strong-attacker sweep this is one call, not 800.
 
 The defining-integral quadrature oracle used to certify these routines
 lives in ``backscatter_auth.validation``, deliberately not here.
@@ -67,6 +70,9 @@ _REL_EPS = 1e-17
 # (a-b)^2/2 past which exp(-(a-b)^2/2), the bound on the smaller of Q1 and
 # 1-Q1, is below half the smallest subnormal (exp(-745.13)): that side is 0.0
 _MARCUM_UNDERFLOW_EXPONENT = 745.2
+# a summed point (off the axes, inside the cut-off) needs max(a, b) <= this:
+# every detector point does (a <= 77.2), and its widest window fits a block
+_SUM_DOMAIN = 120.0
 
 
 def _check_nonneg(value: float, name: str) -> float:
@@ -172,12 +178,11 @@ def _running(op, first: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return op.accumulate(out, axis=1, out=out)
 
 
-def _continue_rows(state: np.ndarray, theta_p, theta_c, shift, fence,
-                   width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next ``width`` steps of each row's loop from its state (columns m,
-    p, q, cdf, total), as numpy accumulates: each runs left to right, so every
-    element is the loop's own IEEE operation on the loop's operands.  Returns
-    (stopped, sums of the stopped rows) and leaves the others' state advanced."""
+def _finish_rows(state: np.ndarray, theta_p, theta_c, shift, fence, width: int) -> np.ndarray:
+    """The rest of each row's loop from its state (columns m, p, q, cdf,
+    total), as ``width`` steps of numpy accumulates that each run left to
+    right: every element is the loop's own IEEE operation on its operands.
+    Returns the row sums; in the summed domain every row stops by ``width``."""
     m, p, q, cdf, total = state.T
     k = m[:, None] + np.arange(1.0, width + 1.0)
     p_run = _running(np.multiply, p, theta_p[:, None] / (k + shift[:, None]))
@@ -187,12 +192,7 @@ def _continue_rows(state: np.ndarray, theta_p, theta_c, shift, fence,
     terms = p_run[:, 1:] * cdf_run[:, 1:]
     totals = _running(np.add, total, terms)[:, 1:]
     stop = (k >= fence[:, None]) & (terms <= totals * _REL_EPS)
-    first = stop.argmax(axis=1)
-    rows = np.arange(first.size)
-    stopped = stop[rows, first]
-    state[:] = np.stack([k[:, -1], p_run[:, -1], q_run[:, -1], cdf_run[:, -1], totals[:, -1]],
-                        axis=1)
-    return stopped, totals[rows[stopped], first[stopped]]
+    return totals[np.arange(totals.shape[0]), stop.argmax(axis=1)]
 
 
 def _mixture_sums(theta_p: np.ndarray, theta_c: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -214,11 +214,10 @@ def _mixture_sums(theta_p: np.ndarray, theta_c: np.ndarray, shift: np.ndarray) -
         theta_p.tolist(), theta_c.tolist(), shift.tolist(), m_lo.tolist(), fence.tolist())]
     state = np.array([walk[1:] for walk in walks])
     sums = state[:, 4].copy()
-    walking = ~np.array([walk[0] for walk in walks])
 
     # blocks of rows of similar window width, at most _BLOCK_ELEMENTS per array;
-    # a row that has not stopped at the block's width goes on for that width again
-    left = np.flatnonzero(walking)
+    # the summed domain's widest window (~1900 steps) fits in one block
+    left = np.flatnonzero([not walk[0] for walk in walks])
     need = np.maximum(np.ceil(fence[left] - state[left, 0]), 1.0)
     left = left[np.argsort(need, kind="stable")]
     need = np.sort(need)
@@ -227,15 +226,9 @@ def _mixture_sums(theta_p: np.ndarray, theta_c: np.ndarray, shift: np.ndarray) -
         hi = lo + 1
         while hi < left.size and (hi + 1 - lo) * need[hi] <= _BLOCK_ELEMENTS:
             hi += 1
-        width = int(min(need[hi - 1], _BLOCK_ELEMENTS))
         rows = left[lo:hi]
-        while rows.size:
-            block = state[rows]
-            stopped, done = _continue_rows(block, theta_p[rows], theta_c[rows], shift[rows],
-                                           fence[rows], width)
-            sums[rows[stopped]] = done
-            state[rows] = block
-            rows = rows[~stopped]
+        sums[rows] = _finish_rows(state[rows], theta_p[rows], theta_c[rows], shift[rows],
+                                  fence[rows], int(need[hi - 1]))
         lo = hi
     return sums
 
@@ -269,16 +262,13 @@ def marcum_q1_grid(a, b) -> tuple[np.ndarray, np.ndarray]:
     rows = np.flatnonzero(rest & ~far)
     if rows.size:
         ar, br, up = a[rows], b[rows], above[rows]
-        with np.errstate(over="ignore"):
-            alpha, beta = 0.5 * ar * ar, 0.5 * br * br
-            # the window's peak takes sqrt(alpha * beta); an overflow there
-            # would leak NaN into the window bounds
-            overflow = np.isinf(alpha * beta)
-        if overflow.any():
-            i = int(np.argmax(overflow))
+        outside = np.maximum(ar, br) > _SUM_DOMAIN
+        if outside.any():
+            i = int(np.argmax(outside))
             raise ParameterError(
-                f"a^2/2 and b^2/2 or their product overflow at a={float(ar[i])!r}, "
-                f"b={float(br[i])!r}")
+                f"a={float(ar[i])!r}, b={float(br[i])!r} needs the Marcum sum outside its "
+                f"certified domain max(a, b) <= {_SUM_DOMAIN!r}")
+        alpha, beta = 0.5 * ar * ar, 0.5 * br * br
         # the sums are of positive terms; min() only absorbs last-ulp rounding
         total = np.minimum(1.0, _mixture_sums(np.where(up, alpha, beta),
                                               np.where(up, beta, alpha), np.where(up, 0, 1)))
@@ -295,15 +285,15 @@ def marcum_q1(a, b):
     """Marcum Q-function of order 1: P(T > b) for T with density
     x exp(-(x^2+a^2)/2) I0(a x) on x >= 0.
 
-    Target relative error <= 1e-10 for results down to ~1e-290 (certified
-    on a <= 50, b <= 50 against the defining-integral quadrature oracle);
+    Target relative error <= 1e-10 for results down to ~1e-290, certified
+    against the defining-integral quadrature oracle over the summed domain;
     smaller results sit in double precision's denormal territory and keep
     absolute accuracy only, with true values below ~1e-308 returned as 0.
     Where (a-b)^2/2 > 745.2 the result is exactly 0.0 (b > a) or 1.0
-    (b < a) without summation (see the module notes), so the cost is
-    bounded for every b <= 38.6, whatever a is; only when both a and b are
-    large and close does it grow like O(a + b) summation steps.  Scalars
-    give a float; arrays broadcast and give ``marcum_q1_grid``'s array.
+    (b < a) without summation, and the axes are closed forms, for any
+    finite a and b.  Every other point is summed and must have
+    max(a, b) <= 120, or ``ParameterError`` is raised.  Scalars give a
+    float; arrays broadcast and give ``marcum_q1_grid``'s array.
     """
     return _plain(marcum_q1_grid(a, b)[0])
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
@@ -127,20 +127,7 @@ class ValidationReport:
         self.checks.append(check)
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "observed": c.observed,
-                    "limit": c.limit,
-                    "detail": c.detail,
-                    "seconds": c.seconds,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
 # below this, results sit in double precision's denormal territory and keep
@@ -172,14 +159,27 @@ def _square_grid(stop: float, step: float) -> list[float]:
     return [float(x) for x in np.arange(0.0, stop + step / 2, step)]
 
 
+def _domain_band(above: bool, past: float) -> list[tuple[float, list[float]]]:
+    """Rows (a, bs) of the summed domain outside the square a, b <= past: the
+    step-5 grid on past < max(a, b) <= special._SUM_DOMAIN inside the
+    underflow cut-off, keeping the points whose summed side is Q1 (b > a,
+    ``above``) or 1 - Q1 (b <= a)."""
+    gap = math.sqrt(2.0 * special._MARCUM_UNDERFLOW_EXPONENT)
+    grid = _square_grid(special._SUM_DOMAIN, 5.0)
+    rows = [(a, [b for b in grid if max(a, b) > past and abs(a - b) <= gap and (b > a) == above])
+            for a in grid]
+    return [(a, bs) for a, bs in rows if bs]
+
+
 def check_marcum_vs_quadrature(
     step: float = 0.25, tol: float = 1e-10, wide_step: float | None = None,
 ) -> CheckResult:
     """Worst relative error of marcum_q1 against the quadrature oracle on
     the grid a, b in {0, step, ..., 10}, plus, with ``wide_step``, the
-    sparse grid {0, wide_step, ..., 50} outside that square."""
+    sparse grid {0, wide_step, ..., 50} outside that square, plus the
+    summed domain's band past 50 where Q1 is the summed side."""
     dense = _square_grid(10.0, step)
-    rows = [(a, dense) for a in dense]
+    rows = [(a, dense) for a in dense] + _domain_band(above=True, past=50.0)
     if wide_step is not None:
         sparse = _square_grid(50.0, wide_step)
         rows += [(a, bs) for a in sparse
@@ -200,11 +200,12 @@ def check_marcum_vs_quadrature(
 
 def check_marcum_complement_vs_quadrature(step: float = 1.0, tol: float = 1e-10) -> CheckResult:
     """Worst relative error of marcum_q1c against the quadrature of the
-    Rice density over [0, b], on a, b in {0, step, ..., 40}; with b < a the
+    Rice density over [0, b], on a, b in {0, step, ..., 40} and the summed
+    domain's band past 40 where 1 - Q1 is the summed side; with b < a the
     complement reaches far below 1e-200, where 1 - marcum_q1 reads 0."""
     grid = _square_grid(40.0, step)
-    worst, worst_at, smallest = _worst_marcum_error(
-        special.marcum_q1c, marcum_q1c_oracle, [(a, grid) for a in grid])
+    rows = [(a, grid) for a in grid] + _domain_band(above=False, past=40.0)
+    worst, worst_at, smallest = _worst_marcum_error(special.marcum_q1c, marcum_q1c_oracle, rows)
     return CheckResult(
         name="marcum_q1c vs lower-tail quadrature",
         passed=worst <= tol,

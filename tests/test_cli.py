@@ -102,6 +102,14 @@ class TestRocCommand:
         assert main(["roc", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_ERROR
         assert "pfa_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sinr_db", ["3100", "-3100"])
+    def test_sinr_outside_the_double_range_reports_field(self, tmp_path, capsys, sinr_db):
+        cfg = _write(tmp_path, ROC_CONFIG.replace("sinr_db = 5.0", f"sinr_db = {sinr_db}"))
+        out = tmp_path / "o"
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert "sinr_db" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = _write(tmp_path, ROC_CONFIG + "typo_key = 3\n")
         assert main(["roc", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_ERROR

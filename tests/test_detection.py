@@ -211,6 +211,17 @@ class TestAnalyticPd:
         with pytest.raises(ParameterError):
             analytic_pd(1.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("pfa", [5e-324, 1e-300, 0.5, 1.0 - 1e-16])
+    @pytest.mark.parametrize("v", [2.0, 0.031622776601683794])
+    def test_every_distance_stays_inside_the_summed_domain(self, pfa, v):
+        # b = delta/s <= 38.6 for any double pfa, so a summed point has
+        # a <= 77.2, inside special's domain: no distance is refused
+        s = math.sqrt(v / 2.0)
+        mu = np.linspace(0.0, 1e4, 100_001) * s
+        delta = design_threshold(pfa, v)
+        for rate in (analytic_pd(mu, delta, v), analytic_pmd(mu, delta, v)):
+            assert ((rate >= 0.0) & (rate <= 1.0)).all()
+
 
 class TestAuthenticate:
     GROUND_TRUTH, VARIANCE, TARGET = 1 + 0j, 0.04, 0.1

@@ -68,6 +68,12 @@ class TestExperimentConfig:
         assert cfg.sinr_db == pytest.approx(10 * math.log10(sinr), rel=1e-14)
         assert cfg.est_variance == pytest.approx(0.5 / (0.5**2 * 4.0 * 8), rel=1e-14)
 
+    @pytest.mark.parametrize("sinr_db", [3100.0, -3100.0])
+    def test_sinr_outside_the_double_range_rejected(self, sinr_db):
+        # 10**310 overflows, and at 10**-310 the variance 1 / SINR does
+        with pytest.raises(ConfigurationError, match=f"sinr_db = {sinr_db!r}"):
+            _config(sinr_db=sinr_db)
+
     @pytest.mark.parametrize("grid", [(), (0.0, 0.5), (0.5, 0.5), (0.3, 0.2), (0.5, 1.0)])
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ConfigurationError):

@@ -219,14 +219,15 @@ class TestMarcumQ1c:
         assert smaller <= math.exp(-0.5 * (a - b) ** 2) * (1.0 + 1e-12)
 
 
+@pytest.fixture
+def no_sum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Marcum mixture summed where no point may be")
+
+    monkeypatch.setattr(special, "_mixture_sums", refuse)
+
+
 class TestMarcumCutoff:
-    @pytest.fixture
-    def no_sum(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Marcum mixture summed past the underflow cut-off")
-
-        monkeypatch.setattr(special, "_mixture_sums", refuse)
-
     @pytest.mark.parametrize("a,b,q", [(3577.7, 3.03, 1.0), (57.0, 3.03, 1.0),
                                        (1.0, 45.0, 0.0), (0.5, 39.2, 0.0)])
     def test_exact_and_unsummed_past_the_cut_off(self, no_sum, a, b, q):
@@ -288,10 +289,12 @@ class TestMarcumGrid:
             assert _kernel_bits(a, b) == _reference_bits(a, b)
 
     def test_both_sides_and_both_axes_in_one_call(self):
-        a = np.array([0.0, 0.5, 3.0, 20.0, 40.0])[:, None]
-        b = np.array([0.0, 0.25, 3.0, 20.5, 45.0, 60.0])
+        # 81.4 and 120 add the summed domain's corners (120, 120), (120, 81.4)
+        # and (81.4, 120), where the window is widest
+        a = np.array([0.0, 0.5, 3.0, 20.0, 40.0, 81.4, 120.0])[:, None]
+        b = np.array([0.0, 0.25, 3.0, 20.5, 45.0, 60.0, 81.4, 120.0])
         q, _ = marcum_q1_grid(a, b)
-        assert q.shape == (5, 6)
+        assert q.shape == (7, 8)
         assert _kernel_bits(a, b) == _reference_bits(a, b)
 
     def test_one_point_is_a_float(self):
@@ -309,22 +312,6 @@ class TestMarcumGrid:
         kernel = _kernel_bits(a, b)
         monkeypatch.undo()
         assert len(seeds) > 10 * a.size * b.size  # two plain seeds per row otherwise
-        assert kernel == _reference_bits(a, b)
-
-    def test_window_goes_on_past_the_element_budget(self, monkeypatch):
-        # a = b = 1100: ~17000 steps from m_lo to the fence, more than one
-        # block holds, so the row runs a second window from its carried state
-        windows = []
-        run = special._continue_rows
-
-        def counted(state, *args):
-            windows.append(state.shape[0])
-            return run(state, *args)
-
-        monkeypatch.setattr(special, "_continue_rows", counted)
-        a, b = np.array([1100.0, 5.0]), np.array([1100.0, 4.0])
-        kernel = _kernel_bits(a, b)
-        assert len(windows) >= 3 and windows[-1] == 1
         assert kernel == _reference_bits(a, b)
 
     def test_strong_attacker_points(self):
@@ -358,17 +345,16 @@ class TestMarcumGrid:
             marcum_q1_grid(b, a)
         assert q[-1].tolist() == [1.0] * 5 and qc[-1].tolist() == [0.0] * 5
 
-    def test_overflowing_summed_point_rejected(self):
-        with pytest.raises(ParameterError, match="overflow"):
-            marcum_q1_grid(1e200, 1e200)
-
-    @pytest.mark.parametrize("a", [1e100, 1.2e154])
-    def test_overflowing_window_product_rejected(self, a):
-        # a^2/2 and b^2/2 are finite here, but their product is not
+    @pytest.mark.parametrize("a,b", [(1e200, 1e200), (1e100, 1e100), (1.2e154, 1.2e154),
+                                     (1e6, 1e6), (120.5, 100.0)])
+    def test_summed_point_outside_the_domain_refused(self, no_sum, a, b):
+        # refused before the in-domain point (1, 1) of the same call is summed
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="overflow"):
-                marcum_q1_grid(np.array([1.0, a]), np.array([1.0, a]))
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"a={a!r}, b={b!r} needs the Marcum sum outside its certified "
+                    f"domain max(a, b) <= {special._SUM_DOMAIN!r}")):
+                marcum_q1_grid(np.array([1.0, a]), np.array([1.0, b]))
 
 
 class TestRiceCdf:
