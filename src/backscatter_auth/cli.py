@@ -48,12 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _roc_csv(curve: RocCurve) -> str:
+def _roc_csv(curve: RocCurve, pfa_text: list[str]) -> str:
     """One row per point from the columns' Python floats, 17 significant
     digits each ("%.17g", the conversion of format(x, ".17g")); the kind is
-    written once into the row template."""
-    row = "%.17g,%.17g," + curve.kind.value + ",%.17g\n"
-    rows = zip(curve.pfa.tolist(), curve.pd.tolist(), curve.stderr.tolist())
+    written once into the row template.  ``pfa_text`` is the curve's pfa
+    column already so formatted, once for all the curves of a run."""
+    row = "%s,%.17g," + curve.kind.value + ",%.17g\n"
+    rows = zip(pfa_text, curve.pd.tolist(), curve.stderr.tolist())
     return "pfa,pd,kind,stderr\n" + "".join([row % r for r in rows])
 
 
@@ -112,8 +113,9 @@ def _write_run(args, command: str, curves) -> tuple[list[str], Path]:
     out_dir = _prepare_out_dir(args.out)
 
     emitted = []
+    pfa_text = ["%.17g" % p for p in cfg.pfa_grid]  # every curve's pfa column
     for name, curve in curves(cfg):
-        _write_text(out_dir / name, _roc_csv(curve))
+        _write_text(out_dir / name, _roc_csv(curve, pfa_text))
         emitted.append(name)
     manifest = {
         "command": command,

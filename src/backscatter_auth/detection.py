@@ -8,8 +8,8 @@ square root of half the complex variance, not the half-variance itself;
 the Monte Carlo validation suite pins this convention down.
 
 The detection probability is Q1(mu/s, delta/s) and the missed-detection
-probability its complement 1 - Q1; each is read from its own side of
-``special``'s Marcum pair, never as one minus the other, so both stay
+probability its complement 1 - Q1; each is its own side of ``special``'s
+Marcum pair, computed alone and never as one minus the other, so both stay
 relatively accurate deep in their tails (a strong attacker's missed
 detection of 1e-26, say).
 
@@ -95,11 +95,12 @@ def analytic_pfa(threshold: float, est_variance: float) -> float:
 
 
 def _marcum_side(side: int, mu_mag, threshold, est_variance: float):
-    """Side ``side`` of the Marcum pair (Q1, 1 - Q1) at (mu/s, threshold/s),
-    s = sqrt(v/2): mu_mag and threshold broadcast against each other, and the
-    whole grid is one ``special.marcum_q1_grid`` call; scalars give a float."""
+    """Side ``side`` (0: Q1, 1: 1 - Q1) of the Marcum pair at
+    (mu/s, threshold/s), s = sqrt(v/2): mu_mag and threshold broadcast
+    against each other, and the whole grid is one ``special.marcum_q1_grid``
+    call that computes only that side; scalars give a float."""
     s = _rice_scale(est_variance)
-    p = special.marcum_q1_grid(np.divide(mu_mag, s), np.divide(threshold, s))[side]
+    p = special.marcum_q1_grid(np.divide(mu_mag, s), np.divide(threshold, s), side)
     return float(p) if p.ndim == 0 else p
 
 

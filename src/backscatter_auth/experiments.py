@@ -106,18 +106,21 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
         if self.n_train < 1:
             raise ConfigurationError(f"n_train must be >= 1, got {self.n_train!r}")
+        object.__setattr__(self, "pfa_grid", checked_pfa_grid(self.pfa_grid))
         try:  # the canonical scenario's own operations, so its variance is this one
             variance = estimation_error_variance(_canonical_tx(self.sinr_db), _CANONICAL_NOISE,
                                                  SignalFrame.all_ones(self.n_train).energy)
+            # the largest threshold, at the smallest pfa; refuses a variance
+            # that is not a finite positive double as well
+            largest_threshold = design_threshold(self.pfa_grid[0], variance)
         except (OverflowError, ParameterError):  # 10**x or eta**2 overflows, or eta is 0.0
-            variance = 0.0
-        if not 0.0 < variance < math.inf:
+            largest_threshold = math.inf
+        if not largest_threshold < math.inf:
             raise ConfigurationError(
-                f"sinr_db = {self.sinr_db!r} puts the SINR or the estimation variance "
-                "outside the finite positive doubles")
+                f"sinr_db = {self.sinr_db!r} puts the SINR, the estimation variance or the "
+                "largest decision threshold outside the finite positive doubles")
         object.__setattr__(self, "_est_variance", variance)
         object.__setattr__(self, "mu_mag", checked_mu_mag(self.mu_mag))
-        object.__setattr__(self, "pfa_grid", checked_pfa_grid(self.pfa_grid))
         if self.trials < 0:
             raise ConfigurationError(f"trials must be >= 0, got {self.trials!r}")
         if not 0 <= self.seed < 2**64:
@@ -136,7 +139,14 @@ class ExperimentConfig:
         are the remaining fields (n_train, mu_mag, pfa_grid, trials, seed)."""
         if noise.total_variance <= 0.0:
             raise ConfigurationError("total noise variance must be > 0 to define an SINR")
-        sinr = tx.eta**2 * tx.p_r / noise.total_variance
+        try:
+            sinr = tx.eta**2 * tx.p_r / noise.total_variance
+        except OverflowError:  # a float ** raises where * would give inf
+            sinr = math.inf
+        if not 0.0 < sinr < math.inf:
+            raise ConfigurationError(
+                f"signaling p_r = {tx.p_r!r}, eta = {tx.eta!r} over a noise variance of "
+                f"{noise.total_variance!r} put the SINR outside the finite positive doubles")
         return cls(sinr_db=10.0 * math.log10(sinr), **fields)
 
     def digest(self) -> str:

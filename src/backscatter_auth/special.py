@@ -3,9 +3,10 @@
 Design notes
 ------------
 ``marcum_q1`` / ``marcum_q1c`` / ``marcum_q1_grid``
-    The first two read one side of the grid kernel's pair ``(Q1, 1 - Q1)``;
-    a scalar point is its one-point case.  Poisson-mixture form of the
-    noncentral chi-square (2 dof) tail:
+    The grid kernel returns one side of the pair per call, the side its
+    caller reads: 0 for Q1, 1 for 1 - Q1.  ``marcum_q1`` and ``marcum_q1c``
+    are its two sides, a scalar point its one-point case.  Poisson-mixture
+    form of the noncentral chi-square (2 dof) tail:
 
         Q1(a,b) = sum_{k>=0} Pois(k; a^2/2) * P[Pois(b^2/2) <= k]
         1 - Q1(a,b) = sum_{m>=0} Pois(m+1; b^2/2) * P[Pois(a^2/2) <= m]
@@ -21,30 +22,41 @@ Design notes
     tail.  Closed forms are used on the axes: Q1(a, 0) = 1 and
     Q1(0, b) = exp(-b^2/2).
 
-    Underflow cut-off: with T = |a + Z|, Z standard complex normal (unit
-    variance per component), T <= b forces |Z| >= a - b, so
+    Cut-offs, one per side: with T = |a + Z|, Z standard complex normal
+    (unit variance per component), T <= b forces |Z| >= a - b, so
     1 - Q1 <= exp(-(a-b)^2/2) when b < a; likewise Q1 <= exp(-(b-a)^2/2)
-    when b > a.  Once (a-b)^2/2 exceeds 745.2 the smaller side lies below
-    half the smallest subnormal and is exactly 0.0 in double precision, so
-    the sum is skipped.  The sum therefore only runs for |a - b| <= 38.61.
-    The detector's callers pass b = sqrt(-2 ln pfa) <= 38.6 for any double
-    pfa, so a <= 77.2 whenever they reach the sum and every analytic ROC
-    point has bounded cost, however strong the attacker.  A summed point
+    when b > a.  Underflow cut-off, on the smaller side: once (a-b)^2/2
+    exceeds 745.2 that side lies below half the smallest subnormal and is
+    exactly 0.0 in double precision, so the sum is skipped.  Rounding
+    cut-off, on the larger side: once (a-b)^2/2 exceeds 38.0 (> 54 ln 2)
+    the smaller side is below exp(-38) = 3.1e-17 < 2^-54, with room to
+    spare for the sum's own error, and 1.0 minus any t <= 2^-54 rounds to
+    1.0 (the tie at 2^-54 rounds to even); so the larger side is exactly
+    1.0 and nothing is summed.  A strong attacker's detection probability
+    is such a point.  The sum therefore only runs for |a - b| <= 38.61 on
+    the smaller side and |a - b| <= 8.72 on the larger.  The detector's
+    callers pass b = sqrt(-2 ln pfa) <= 38.6 for any double pfa, so
+    a <= 77.2 whenever they reach the sum and every analytic ROC point has
+    bounded cost, however strong the attacker.  A summed point
     must lie in the domain max(a, b) <= ``_SUM_DOMAIN`` (120), which
     ``validation`` certifies against quadrature; any other summed point
-    raises ``ParameterError`` before anything is summed.
+    raises ``ParameterError`` before anything is summed; a point past the
+    rounding cut-off needs no domain on its larger side.
 
-    Grid kernel: the axes and the cut-off are masks over the whole grid
-    (the cut-off squares a - b with one correctly rounded multiply; a libm
+    Grid kernel: the axes and the cut-offs are masks over the whole grid
+    (a cut-off squares a - b with one correctly rounded multiply; a libm
     pow could differ from it only within an ulp of the cut-off, where the
-    summed smaller side is 0.0 as well).  Each remaining point is a row of
-    the loop "term = p * cdf, total += term, stop at the first m >= fence
-    with term <= total * 1e-17, advance p and q by one recurrence step,
-    cdf = min(1, cdf + q)".  Its seeds (``_pois_pmf``/``_pois_cdf``: exp,
-    log, lgamma) and the short prefix of steps that re-seed below 1e-290
-    run in ``math``: numpy's exp and log need not round as libm's do.
-    Past that prefix no step re-seeds again, and the rest of the row is
-    numpy ``multiply.accumulate`` (the two recurrences) and
+    summed side is 0.0, or rounds its complement to 1.0, as well).  Each
+    remaining point is a row of the loop "term = p * cdf, total += term,
+    stop at the first m >= fence with term <= total * 1e-17, advance p and
+    q by one recurrence step, cdf = min(1, cdf + q)".  Its seeds
+    (``_pois_pmf``/``_pois_cdf``: exp, log, lgamma) run in ``math``, since
+    numpy's exp and log need not round as libm's do, once per distinct
+    (k, theta) of the call: rows that share an a or a b share seeds.  A
+    row whose first step re-seeds below 1e-290 (tested with numpy's IEEE
+    * / <, the loop's own bits) walks the short prefix of such steps in
+    ``math``.  Past that prefix no step re-seeds again, and the rest of the
+    row is numpy ``multiply.accumulate`` (the two recurrences) and
     ``add.accumulate`` (the cdf, clamped after the fact by min(1, .), and
     the total).  An accumulate runs strictly left to right, so each element
     is the loop's own IEEE operation on the loop's operands, and the window
@@ -70,6 +82,9 @@ _REL_EPS = 1e-17
 # (a-b)^2/2 past which exp(-(a-b)^2/2), the bound on the smaller of Q1 and
 # 1-Q1, is below half the smallest subnormal (exp(-745.13)): that side is 0.0
 _MARCUM_UNDERFLOW_EXPONENT = 745.2
+# (a-b)^2/2 past which that bound is below 2^-54 (54 ln 2 = 37.43): 1.0 minus
+# the smaller side rounds to 1.0 (a tie rounds to even), so the larger is 1.0
+_ROUNDING_EXPONENT = 38.0
 # a summed point (off the axes, inside the cut-off) needs max(a, b) <= this:
 # every detector point does (a <= 77.2), and its widest window fits a block
 _SUM_DOMAIN = 120.0
@@ -141,16 +156,13 @@ def _checked_grid(values, name: str) -> np.ndarray:
     return x
 
 
-def _walk_from_seed(theta_p: float, theta_c: float, shift: int, m: int,
-                    fence: float) -> tuple[bool, int, float, float, float, float]:
-    """The mixture loop of one row in ``math``: seeded in log space at m, and
-    walked while a recurrence step re-seeds from logs (a rising flank below
+def _walk_from_seed(theta_p: float, theta_c: float, shift: int, m: int, fence: float,
+                    p: float, q: float, cdf: float) -> tuple[bool, int, float, float, float, float]:
+    """The mixture loop of one row in ``math`` from its seeds at m, walked
+    while a recurrence step re-seeds from logs (a rising flank below
     _PMF_RESEED_FLOOR).  Returns (stopped, m, p, q, cdf, total): the row's sum
     if it stopped, else the state at the last m, after which neither
     recurrence ever re-seeds (on a rising flank the products only grow)."""
-    p = _pois_pmf(m + shift, theta_p)
-    q = _pois_pmf(m, theta_c)
-    cdf = _pois_cdf(m, theta_c)
     total = 0.0
     while True:
         total += p * cdf
@@ -210,14 +222,33 @@ def _mixture_sums(theta_p: np.ndarray, theta_c: np.ndarray, shift: np.ndarray) -
         peak + 12.0 * np.sqrt(peak + 1.0),
     ) + 20.0
 
-    walks = [_walk_from_seed(tp, tc, int(sh), int(m), f) for tp, tc, sh, m, f in zip(
-        theta_p.tolist(), theta_c.tolist(), shift.tolist(), m_lo.tolist(), fence.tolist())]
-    state = np.array([walk[1:] for walk in walks])
+    # log-space seeds at m_lo in math, once per distinct (k, theta) of the call
+    tp, tc, m = theta_p.tolist(), theta_c.tolist(), m_lo.astype(np.int64).tolist()
+    p_keys = list(zip((k + sh for k, sh in zip(m, shift.tolist())), tp))
+    c_keys = list(zip(m, tc))
+    pmf = {key: _pois_pmf(*key) for key in {*p_keys, *c_keys}}
+    cdfs = {key: _pois_cdf(*key) for key in set(c_keys)}
+    p = np.array([pmf[key] for key in p_keys])
+    q = np.array([pmf[key] for key in c_keys])
+    cdf = np.array([cdfs[key] for key in c_keys])
+    state = np.column_stack([m_lo, p, q, cdf, p * cdf])
+
+    # a row whose first recurrence step re-seeds walks in math until no step
+    # does; numpy's IEEE * / < give the loop's own bits for that test
+    k = m_lo + 1.0
+    reseeds = ((p * (theta_p / (k + shift)) < _PMF_RESEED_FLOOR) & (k + shift < theta_p)) | (
+        (q * (theta_c / k) < _PMF_RESEED_FLOOR) & (k < theta_c))
+    stopped = np.zeros(theta_p.size, dtype=bool)
+    for i in np.flatnonzero(reseeds).tolist():
+        walk = _walk_from_seed(tp[i], tc[i], int(shift[i]), m[i], float(fence[i]),
+                               *state[i, 1:4].tolist())
+        stopped[i] = walk[0]
+        state[i] = walk[1:]
     sums = state[:, 4].copy()
 
     # blocks of rows of similar window width, at most _BLOCK_ELEMENTS per array;
     # the summed domain's widest window (~1900 steps) fits in one block
-    left = np.flatnonzero([not walk[0] for walk in walks])
+    left = np.flatnonzero(~stopped)
     need = np.maximum(np.ceil(fence[left] - state[left, 0]), 1.0)
     left = left[np.argsort(need, kind="stable")]
     need = np.sort(need)
@@ -233,48 +264,47 @@ def _mixture_sums(theta_p: np.ndarray, theta_c: np.ndarray, shift: np.ndarray) -
     return sums
 
 
-def marcum_q1_grid(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(Q1(a, b), 1 - Q1(a, b)) over the broadcast grid of ``a`` and ``b``,
-    the smaller side summed and the other its complement; the smaller side
-    is exactly 0.0 past the underflow cut-off.  Every element carries the
-    bits of evaluating its point on its own (see the module notes)."""
+def marcum_q1_grid(a, b, side: int) -> np.ndarray:
+    """Side ``side`` of the Marcum pair over the broadcast grid of ``a`` and
+    ``b``: 0 gives Q1(a, b), 1 gives 1 - Q1(a, b).  The smaller side is
+    summed, and is exactly 0.0 past the underflow cut-off; the larger side
+    is 1.0 minus the smaller one, and is exactly 1.0 past the rounding
+    cut-off without summing.  Every element carries the bits of evaluating
+    its point on its own (see the module notes)."""
+    if side not in (0, 1):
+        raise ParameterError(f"side must be 0 (Q1) or 1 (1 - Q1), got {side!r}")
     a = _checked_grid(a, "a")
     b = _checked_grid(b, "b")
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     shape = a.shape
     a, b = a.ravel(), b.ravel()
-    q = np.ones(a.size)  # b == 0, and b < a past the cut-off
-    qc = np.zeros(a.size)
-
-    rest = b != 0.0
-    for i in np.flatnonzero(rest & (a == 0.0)):
+    # the smaller side, summed directly: Q1 where b > a, else 1 - Q1
+    smaller = (b > a) == (side == 0)
+    out = np.where(smaller, 0.0, 1.0)  # b == 0, and past the side's cut-off
+    for i in np.flatnonzero((a == 0.0) & (b != 0.0)):
         half_b2 = 0.5 * float(b[i]) * float(b[i])
-        q[i], qc[i] = math.exp(-half_b2), -math.expm1(-half_b2)
-    rest &= a != 0.0
-    above = b > a
+        out[i] = math.exp(-half_b2) if side == 0 else -math.expm1(-half_b2)
     d = a - b
     with np.errstate(over="ignore"):
-        far = 0.5 * (d * d) > _MARCUM_UNDERFLOW_EXPONENT
-    q[rest & far & above] = 0.0
-    qc[rest & far & above] = 1.0
+        gap = 0.5 * (d * d)
+    cut_off = np.where(smaller, _MARCUM_UNDERFLOW_EXPONENT, _ROUNDING_EXPONENT)
 
-    rows = np.flatnonzero(rest & ~far)
+    rows = np.flatnonzero((a != 0.0) & (b != 0.0) & (gap <= cut_off))
     if rows.size:
-        ar, br, up = a[rows], b[rows], above[rows]
+        ar, br = a[rows], b[rows]
         outside = np.maximum(ar, br) > _SUM_DOMAIN
         if outside.any():
             i = int(np.argmax(outside))
             raise ParameterError(
                 f"a={float(ar[i])!r}, b={float(br[i])!r} needs the Marcum sum outside its "
                 f"certified domain max(a, b) <= {_SUM_DOMAIN!r}")
-        alpha, beta = 0.5 * ar * ar, 0.5 * br * br
+        alpha, beta, up = 0.5 * ar * ar, 0.5 * br * br, br > ar
         # the sums are of positive terms; min() only absorbs last-ulp rounding
         total = np.minimum(1.0, _mixture_sums(np.where(up, alpha, beta),
                                               np.where(up, beta, alpha), np.where(up, 0, 1)))
-        q[rows] = np.where(up, total, 1.0 - total)
-        qc[rows] = np.where(up, 1.0 - total, total)
-    return q.reshape(shape), qc.reshape(shape)
+        out[rows] = np.where(smaller[rows], total, 1.0 - total)
+    return out.reshape(shape)
 
 
 def _plain(x: np.ndarray):
@@ -283,24 +313,27 @@ def _plain(x: np.ndarray):
 
 def marcum_q1(a, b):
     """Marcum Q-function of order 1: P(T > b) for T with density
-    x exp(-(x^2+a^2)/2) I0(a x) on x >= 0.
+    x exp(-(x^2+a^2)/2) I0(a x) on x >= 0; side 0 of ``marcum_q1_grid``.
 
     Target relative error <= 1e-10 for results down to ~1e-290, certified
     against the defining-integral quadrature oracle over the summed domain;
     smaller results sit in double precision's denormal territory and keep
     absolute accuracy only, with true values below ~1e-308 returned as 0.
-    Where (a-b)^2/2 > 745.2 the result is exactly 0.0 (b > a) or 1.0
-    (b < a) without summation, and the axes are closed forms, for any
-    finite a and b.  Every other point is summed and must have
+    Without summation, for any finite a and b: exactly 0.0 where b > a and
+    (a-b)^2/2 > 745.2, exactly 1.0 where b <= a and (a-b)^2/2 > 38.0, and
+    closed forms on the axes.  Every other point is summed and must have
     max(a, b) <= 120, or ``ParameterError`` is raised.  Scalars give a
     float; arrays broadcast and give ``marcum_q1_grid``'s array.
     """
-    return _plain(marcum_q1_grid(a, b)[0])
+    return _plain(marcum_q1_grid(a, b, 0))
 
 
 def marcum_q1c(a, b):
-    """Complement 1 - Q1(a, b) = P(T <= b), relatively accurate in its own
-    lower tail (down to ~1e-290, as ``marcum_q1``), not 1 minus a rounded Q1.
-    Scalars give a float; arrays broadcast as in ``marcum_q1``."""
-    return _plain(marcum_q1_grid(a, b)[1])
+    """Complement 1 - Q1(a, b) = P(T <= b), side 1 of ``marcum_q1_grid``:
+    relatively accurate in its own lower tail (down to ~1e-290, as
+    ``marcum_q1``), not 1 minus a rounded Q1.  The cut-offs mirror
+    ``marcum_q1``'s: exactly 0.0 where b < a and (a-b)^2/2 > 745.2, exactly
+    1.0 where b > a and (a-b)^2/2 > 38.0.  Scalars give a float; arrays
+    broadcast as in ``marcum_q1``."""
+    return _plain(marcum_q1_grid(a, b, 1))
 

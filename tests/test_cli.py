@@ -110,6 +110,24 @@ class TestRocCommand:
         assert "sinr_db" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_threshold_outside_the_double_range_reports_field(self, tmp_path, capsys):
+        # a finite variance (1.56e308) whose largest threshold overflows
+        cfg = _write(tmp_path, ROC_CONFIG.replace("sinr_db = 5.0", "sinr_db = -3100")
+                     .replace("n_train = 1", "n_train = 64"))
+        out = tmp_path / "o"
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert "sinr_db" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_raw_sinr_overflow_reports_field(self, tmp_path, capsys):
+        signaling = ("[signaling]\np_r = 1.0\neta = 1e200\nsigma2_r = 0.5\n"
+                     "sigma2_si_r = 0.25\nsigma2_si_t = 0.25\n")
+        cfg = _write(tmp_path, ROC_CONFIG.replace("sinr_db = 5.0\n", "") + signaling)
+        out = tmp_path / "o"
+        assert main(["roc", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert "eta = 1e+200" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = _write(tmp_path, ROC_CONFIG + "typo_key = 3\n")
         assert main(["roc", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_ERROR

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -73,6 +74,14 @@ class TestExperimentConfig:
         # 10**310 overflows, and at 10**-310 the variance 1 / SINR does
         with pytest.raises(ConfigurationError, match=f"sinr_db = {sinr_db!r}"):
             _config(sinr_db=sinr_db)
+
+    @pytest.mark.parametrize("eta", [1e200, 1e-200])
+    def test_raw_sinr_outside_the_double_range_rejected(self, eta):
+        # eta**2 raises OverflowError at 1e200; at 1e-200 the SINR is 0.0
+        with pytest.raises(ConfigurationError, match=re.escape(f"eta = {eta!r}")):
+            ExperimentConfig.from_raw(
+                TxParams(p_r=1.0, eta=eta), LinkNoiseParams(sigma2_r=1.0),
+                n_train=8, mu_mag=1.0, pfa_grid=(0.1,), trials=1, seed=0)
 
     @pytest.mark.parametrize("grid", [(), (0.0, 0.5), (0.5, 0.5), (0.3, 0.2), (0.5, 1.0)])
     def test_bad_grid_rejected(self, grid):
@@ -320,8 +329,8 @@ class TestRocAnalytic:
 
         points = []
         grid = special.marcum_q1_grid
-        monkeypatch.setattr(special, "marcum_q1_grid",
-                            lambda a, b: points.append(np.broadcast(a, b).size) or grid(a, b))
+        monkeypatch.setattr(special, "marcum_q1_grid", lambda a, b, side: points.append(
+            np.broadcast(a, b).size) or grid(a, b, side))
         roc_analytic(_config(pfa_grid=GRID_50))
         assert points == [len(GRID_50)]
         sweep_attacker(_config(pfa_grid=GRID_50), [0.5, 1.0, 2.0])

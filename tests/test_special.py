@@ -238,11 +238,14 @@ class TestMarcumCutoff:
         assert smaller_oracle(a, b) == 0.0
 
     def test_a_grid_past_the_cut_off_is_unsummed(self, no_sum):
-        q, qc = marcum_q1_grid(np.array([57.0, 3577.7])[:, None], np.array([0.14, 3.03]))
+        a, b = np.array([57.0, 3577.7])[:, None], np.array([0.14, 3.03])
+        q, qc = marcum_q1_grid(a, b, 0), marcum_q1_grid(a, b, 1)
         assert (q == 1.0).all() and (qc == 0.0).all()
 
     @pytest.mark.parametrize("a,b", [(40.0, 1.5), (1.0, 39.5)])
     def test_just_inside_the_cut_off_still_sums(self, monkeypatch, a, b):
+        # inside the underflow cut-off the smaller side is summed; the larger
+        # side is past the rounding cut-off, exactly 1.0 and unsummed
         assert abs(a - b) == 38.5
         calls = []
         summed = special._mixture_sums
@@ -252,9 +255,11 @@ class TestMarcumCutoff:
             return summed(*args)
 
         monkeypatch.setattr(special, "_mixture_sums", counted)
-        marcum_q1(a, b)
-        marcum_q1c(a, b)
-        assert len(calls) == 2
+        smaller, larger = (marcum_q1, marcum_q1c) if b > a else (marcum_q1c, marcum_q1)
+        smaller(a, b)
+        assert len(calls) == 1
+        assert larger(a, b) == 1.0
+        assert len(calls) == 1
 
 
 def _reference_bits(a, b) -> list[tuple[str, str]]:
@@ -264,7 +269,7 @@ def _reference_bits(a, b) -> list[tuple[str, str]]:
 
 
 def _kernel_bits(a, b) -> list[tuple[str, str]]:
-    q, qc = marcum_q1_grid(a, b)
+    q, qc = marcum_q1_grid(a, b, 0), marcum_q1_grid(a, b, 1)
     return [(x.hex(), y.hex()) for x, y in zip(q.ravel().tolist(), qc.ravel().tolist())]
 
 
@@ -282,7 +287,10 @@ class TestMarcumGrid:
         a, b = rng.uniform(0.0, 80.0, 400), rng.uniform(0.0, 80.0, 400)
         assert _kernel_bits(a, b) == _reference_bits(a, b)
 
-    @pytest.mark.parametrize("gap", [0.0, 1e-3, 20.0, 38.6])
+    # 38.6 straddles the underflow cut-off, sqrt(74)..sqrt(80) the rounding
+    # cut-off's band (a-b)^2/2 in [37, 40]
+    @pytest.mark.parametrize("gap", [0.0, 1e-3, 20.0, 38.6, *(
+        math.sqrt(2.0 * e) for e in (37.0, 37.9, 38.0, 38.1, 40.0))])
     def test_near_the_diagonal_and_the_cut_off(self, gap):
         a = np.linspace(0.01, 77.0, 90)
         for b in (a + gap, np.maximum(a - gap, 0.0)):
@@ -293,8 +301,7 @@ class TestMarcumGrid:
         # and (81.4, 120), where the window is widest
         a = np.array([0.0, 0.5, 3.0, 20.0, 40.0, 81.4, 120.0])[:, None]
         b = np.array([0.0, 0.25, 3.0, 20.5, 45.0, 60.0, 81.4, 120.0])
-        q, _ = marcum_q1_grid(a, b)
-        assert q.shape == (7, 8)
+        assert marcum_q1_grid(a, b, 0).shape == (7, 8)
         assert _kernel_bits(a, b) == _reference_bits(a, b)
 
     def test_one_point_is_a_float(self):
@@ -333,7 +340,7 @@ class TestMarcumGrid:
         with pytest.raises(ParameterError) as point:
             _check_nonneg(bad, name)
         with pytest.raises(ParameterError, match=re.escape(str(point.value))):
-            marcum_q1_grid(args["a"], args["b"])
+            marcum_q1_grid(args["a"], args["b"], 0)
 
     def test_no_runtime_warnings(self):
         # m_lo = 0 rows, both axes, far points and a squared gap that overflows
@@ -341,20 +348,32 @@ class TestMarcumGrid:
         b = np.array([0.0, 1e-3, 0.5, 2.0, 40.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            q, qc = marcum_q1_grid(a, b)
-            marcum_q1_grid(b, a)
+            q, qc = marcum_q1_grid(a, b, 0), marcum_q1_grid(a, b, 1)
+            marcum_q1_grid(b, a, 0)
+            marcum_q1_grid(b, a, 1)
         assert q[-1].tolist() == [1.0] * 5 and qc[-1].tolist() == [0.0] * 5
 
     @pytest.mark.parametrize("a,b", [(1e200, 1e200), (1e100, 1e100), (1.2e154, 1.2e154),
                                      (1e6, 1e6), (120.5, 100.0)])
     def test_summed_point_outside_the_domain_refused(self, no_sum, a, b):
-        # refused before the in-domain point (1, 1) of the same call is summed
+        # refused before the in-domain point (1, 1) of the same call is summed;
+        # b <= a, so 1 - Q1 is the summed side
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match=re.escape(
                     f"a={a!r}, b={b!r} needs the Marcum sum outside its certified "
                     f"domain max(a, b) <= {special._SUM_DOMAIN!r}")):
-                marcum_q1_grid(np.array([1.0, a]), np.array([1.0, b]))
+                marcum_q1_grid(np.array([1.0, a]), np.array([1.0, b]), 1)
+
+    def test_larger_side_past_the_rounding_cut_off_needs_no_domain(self, no_sum):
+        # (a-b)^2/2 = 210.125: 1 - Q1 would need the sum outside the domain,
+        # but Q1 is exactly 1.0 whatever it holds
+        assert marcum_q1(120.5, 100.0) == 1.0 and marcum_q1c(100.0, 120.5) == 1.0
+
+    @pytest.mark.parametrize("side", [-1, 2, None])
+    def test_rejects_a_side_other_than_0_or_1(self, side):
+        with pytest.raises(ParameterError, match="side must be 0"):
+            marcum_q1_grid(1.0, 1.0, side)
 
 
 class TestRiceCdf:
