@@ -54,7 +54,7 @@ def _roc_csv(curve: RocCurve, pfa_text: list[str]) -> str:
     written once into the row template.  ``pfa_text`` is the curve's pfa
     column already so formatted, once for all the curves of a run."""
     row = "%s,%.17g," + curve.kind.value + ",%.17g\n"
-    rows = zip(pfa_text, curve.pd.tolist(), curve.stderr.tolist())
+    rows = zip(pfa_text, curve.pd.tolist(), curve.stderr.tolist(), strict=True)
     return "pfa,pd,kind,stderr\n" + "".join([row % r for r in rows])
 
 

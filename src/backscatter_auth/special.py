@@ -50,9 +50,8 @@ Design notes
     remaining point is a row of the loop "term = p * cdf, total += term,
     stop at the first m >= fence with term <= total * 1e-17, advance p and
     q by one recurrence step, cdf = min(1, cdf + q)".  Its seeds
-    (``_pois_pmf``/``_pois_cdf``: exp, log, lgamma) run in ``math``, since
-    numpy's exp and log need not round as libm's do, once per distinct
-    (k, theta) of the call: rows that share an a or a b share seeds.  A
+    (``_pois_pmf``/``_pois_cdf``: exp, log, lgamma) run per row in
+    ``math``, since numpy's exp and log need not round as libm's do.  A
     row whose first step re-seeds below 1e-290 (tested with numpy's IEEE
     * / <, the loop's own bits) walks the short prefix of such steps in
     ``math``.  Past that prefix no step re-seeds again, and the rest of the
@@ -222,15 +221,11 @@ def _mixture_sums(theta_p: np.ndarray, theta_c: np.ndarray, shift: np.ndarray) -
         peak + 12.0 * np.sqrt(peak + 1.0),
     ) + 20.0
 
-    # log-space seeds at m_lo in math, once per distinct (k, theta) of the call
+    # log-space seeds at m_lo, per row in math
     tp, tc, m = theta_p.tolist(), theta_c.tolist(), m_lo.astype(np.int64).tolist()
-    p_keys = list(zip((k + sh for k, sh in zip(m, shift.tolist())), tp))
-    c_keys = list(zip(m, tc))
-    pmf = {key: _pois_pmf(*key) for key in {*p_keys, *c_keys}}
-    cdfs = {key: _pois_cdf(*key) for key in set(c_keys)}
-    p = np.array([pmf[key] for key in p_keys])
-    q = np.array([pmf[key] for key in c_keys])
-    cdf = np.array([cdfs[key] for key in c_keys])
+    p = np.array([_pois_pmf(k + sh, t) for k, sh, t in zip(m, shift.tolist(), tp)])
+    q = np.array([_pois_pmf(k, t) for k, t in zip(m, tc)])
+    cdf = np.array([_pois_cdf(k, t) for k, t in zip(m, tc)])
     state = np.column_stack([m_lo, p, q, cdf, p * cdf])
 
     # a row whose first recurrence step re-seeds walks in math until no step
