@@ -81,7 +81,7 @@ def make_link(
     tag: DeviceModel,
     forward_rf: RfChannelSpec,
     reverse_rf: RfChannelSpec,
-    rng: RngHandle,
+    rng: RngHandle | None,
 ) -> LinkRealization:
     """Compose reader->tag and tag->reader channels through the devices'
     chain gains and the propagation gains drawn from the RF specs.  The reader
@@ -89,7 +89,8 @@ def make_link(
 
     The forward gain is drawn first, then the reverse gain.  When both specs
     fade, the two gains come from one ``standard_normal(4)``, which uses the
-    stream exactly as two ``realize`` calls would (C-order fill)."""
+    stream exactly as two ``realize`` calls would (C-order fill).  A fixed
+    spec draws nothing, so two fixed specs need no stream (``rng`` None)."""
     if type(forward_rf) is RayleighFadingChannel and type(reverse_rf) is RayleighFadingChannel:
         f_re, f_im, r_re, r_im = rng.generator.standard_normal(4).tolist()
         g_forward = complex_normal_from(f_re, f_im, 0j, forward_rf.variance)

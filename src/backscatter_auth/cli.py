@@ -26,6 +26,7 @@ from .experiments import (
     ExperimentConfig,
     RocCurve,
     build_scenario,
+    checked_mu_mag,
     roc_analytic,
     roc_empirical,
     run_trial,
@@ -146,9 +147,12 @@ def _sweep_file(mu: float) -> str:
 
 
 def _mu_values(mu_list: str) -> list[float]:
-    """--mu-list as floats whose 4-decimal file names are all distinct."""
+    """--mu-list as distances, each checked as a config's mu_mag is, whose
+    4-decimal file names are all distinct."""
     try:
-        mu_values = [float(v) for v in mu_list.split(",") if v.strip()]
+        mu_values = [checked_mu_mag(float(v)) for v in mu_list.split(",") if v.strip()]
+    except ConfigurationError as exc:  # a ValueError subclass, so it goes first
+        raise _UsageError(f"sweep: --mu-list: {exc}") from None
     except ValueError:
         raise _UsageError(
             f"sweep: --mu-list must be a comma list of numbers, got {mu_list!r}") from None

@@ -14,15 +14,14 @@ relatively accurate deep in their tails (a strong attacker's missed
 detection of 1e-26, say).
 
 There is no detector object: ``authenticate`` takes the enrolled
-fingerprint, the estimation-error variance and the target false-alarm rate
-with each estimate, and derives its threshold from them with
+fingerprint and the target false-alarm rate with each estimate, and derives
+its threshold from them and the estimate's own error variance with
 ``design_threshold``, so a threshold is never set freely.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,17 +128,10 @@ class AuthDecision:
 
 
 def authenticate(estimate: FingerprintEstimate, ground_truth: complex,
-                 est_variance: float, target_pfa: float) -> AuthDecision:
+                 target_pfa: float) -> AuthDecision:
     """Compare the fingerprint estimate against the enrolled ground truth at
-    the threshold ``design_threshold(target_pfa, est_variance)``."""
-    threshold = design_threshold(target_pfa, est_variance)
-    if not math.isclose(estimate.error_variance, est_variance, rel_tol=1e-9, abs_tol=0.0):
-        warnings.warn(
-            "estimate error_variance "
-            f"{estimate.error_variance!r} differs from detector est_variance "
-            f"{est_variance!r}; the detector's value is used",
-            stacklevel=2,
-        )
+    the threshold ``design_threshold(target_pfa, estimate.error_variance)``."""
+    threshold = design_threshold(target_pfa, estimate.error_variance)
     statistic = float(fingerprint_distance(estimate.value, ground_truth))
     return AuthDecision(
         statistic=statistic,

@@ -6,10 +6,12 @@ distance, so experiments are parameterized by (sinr_db, n_train, mu_mag).
 ``ExperimentConfig.from_raw`` reduces the raw ``TxParams`` and
 ``LinkNoiseParams`` of a signaling section to that form.
 
-The canonical scenario behind every run: unit reader power, unit aggregate
-noise variance, tag amplification set from the SINR, unit-modulus training,
-fixed (non-fading) propagation, enrolled fingerprint equal to the
-legitimate link's realized residual.
+Each config builds its canonical scenario once and keeps it as
+``config.scenario``: unit reader power, unit aggregate noise variance, tag
+amplification set from the SINR, unit-modulus training, fixed (non-fading)
+propagation, enrolled fingerprint equal to the legitimate link's realized
+residual.  That scenario's estimation-error variance is the one value
+behind a run's analytic curves, its thresholds and the engine's draws.
 
 The engine draws the sufficient statistic, not the frame: for any
 training frame the LS estimate is ``h_res + e`` with ``e ~ CN(0, v)`` and
@@ -37,7 +39,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,8 +96,11 @@ class ExperimentConfig:
     pfa_grid: tuple[float, ...]
     trials: int
     seed: int
+    scenario: Scenario = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # first: the scenario below carries the attacker at this distance
+        object.__setattr__(self, "mu_mag", checked_mu_mag(self.mu_mag))
         if not math.isfinite(self.sinr_db):
             raise ConfigurationError(f"sinr_db must be finite, got {self.sinr_db!r}")
         for name in ("n_train", "trials", "seed"):
@@ -107,20 +112,18 @@ class ExperimentConfig:
         if self.n_train < 1:
             raise ConfigurationError(f"n_train must be >= 1, got {self.n_train!r}")
         object.__setattr__(self, "pfa_grid", checked_pfa_grid(self.pfa_grid))
-        try:  # the canonical scenario's own operations, so its variance is this one
-            variance = estimation_error_variance(_canonical_tx(self.sinr_db), _CANONICAL_NOISE,
-                                                 SignalFrame.all_ones(self.n_train).energy)
+        try:  # built once: its variance is the one value of every run of this config
+            scenario = canonical_scenario(self.sinr_db, self.n_train, self.mu_mag)
             # the largest threshold, at the smallest pfa; refuses a variance
             # that is not a finite positive double as well
-            largest_threshold = design_threshold(self.pfa_grid[0], variance)
+            largest_threshold = design_threshold(self.pfa_grid[0], scenario.est_variance)
         except (OverflowError, ParameterError):  # 10**x or eta**2 overflows, or eta is 0.0
             largest_threshold = math.inf
         if not largest_threshold < math.inf:
             raise ConfigurationError(
                 f"sinr_db = {self.sinr_db!r} puts the SINR, the estimation variance or the "
                 "largest decision threshold outside the finite positive doubles")
-        object.__setattr__(self, "_est_variance", variance)
-        object.__setattr__(self, "mu_mag", checked_mu_mag(self.mu_mag))
+        object.__setattr__(self, "scenario", scenario)
         if self.trials < 0:
             raise ConfigurationError(f"trials must be >= 0, got {self.trials!r}")
         if not 0 <= self.seed < 2**64:
@@ -128,10 +131,10 @@ class ExperimentConfig:
 
     @property
     def est_variance(self) -> float:
-        """Estimation-error variance of the canonical scenario (unit-modulus
-        training of length n_train): the one value behind the analytic
-        curves, the engine's thresholds and its draws."""
-        return self._est_variance
+        """Estimation-error variance of the config's canonical scenario
+        (unit-modulus training of length n_train): the one value behind the
+        analytic curves, the engine's thresholds and its draws."""
+        return self.scenario.est_variance
 
     @classmethod
     def from_raw(cls, tx: TxParams, noise: LinkNoiseParams, **fields) -> "ExperimentConfig":
@@ -226,15 +229,15 @@ def build_scenario(reader: DeviceModel, legit_tag: DeviceModel,
                    noise: LinkNoiseParams, n_train: int) -> Scenario:
     """Link both tags to the reader over unit fixed propagation, so the
     residuals carry only the device fingerprints; the estimation-error
-    variance is that of the unit-modulus challenge of length n_train."""
-    rng = RngHandle(0)  # fixed channels: realization ignores the stream
+    variance is that of the unit-modulus challenge of length n_train.  Fixed
+    channels draw nothing, so the links take no random stream."""
     unit = FixedChannel(1 + 0j)
     return Scenario(
         reader=reader,
         legit_tag=legit_tag,
         malicious_tag=malicious_tag,
-        legit_link=make_link(reader, legit_tag, unit, unit, rng),
-        attack_link=make_link(reader, malicious_tag, unit, unit, rng),
+        legit_link=make_link(reader, legit_tag, unit, unit, None),
+        attack_link=make_link(reader, malicious_tag, unit, unit, None),
         tx=tx,
         noise=noise,
         n_train=int(n_train),
@@ -243,31 +246,19 @@ def build_scenario(reader: DeviceModel, legit_tag: DeviceModel,
     )
 
 
-_CANONICAL_NOISE = LinkNoiseParams(sigma2_r=0.5, sigma2_si_r=0.25, sigma2_si_t=0.25)
-
-
-def _canonical_tx(sinr_db: float) -> TxParams:
-    """Unit reader power and the tag amplification that hits sinr_db over
-    the canonical unit noise."""
-    return TxParams(p_r=1.0, eta=math.sqrt(10.0 ** (sinr_db / 10.0)))
-
-
 def canonical_scenario(sinr_db: float, n_train: int, mu_mag: float) -> Scenario:
-    """Unit-power, unit-noise scenario hitting the requested SINR, with the
-    malicious tag's transmit chain offset so the residual distance is mu_mag."""
+    """Unit-power, unit-noise scenario hitting the requested SINR (the tag
+    amplification is sqrt(SINR)), with the malicious tag's transmit chain
+    offset so the residual distance is mu_mag."""
     return build_scenario(
         reader=DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j),
         legit_tag=DeviceModel(h_tx=1 + 0j, h_rx=1 + 0j),
         # independent transmit chain, never derived from the legitimate tag's
         malicious_tag=DeviceModel(h_tx=(1.0 + mu_mag) + 0j, h_rx=1 + 0j),
-        tx=_canonical_tx(sinr_db),
-        noise=_CANONICAL_NOISE,
+        tx=TxParams(p_r=1.0, eta=math.sqrt(10.0 ** (sinr_db / 10.0))),
+        noise=LinkNoiseParams(sigma2_r=0.5, sigma2_si_r=0.25, sigma2_si_t=0.25),
         n_train=n_train,
     )
-
-
-def scenario_for(config: ExperimentConfig) -> Scenario:
-    return canonical_scenario(config.sinr_db, config.n_train, config.mu_mag)
 
 
 def run_trial(scenario: Scenario, link: LinkRealization, target_pfa: float,
@@ -278,14 +269,13 @@ def run_trial(scenario: Scenario, link: LinkRealization, target_pfa: float,
     (n_train, tx), not per episode, and `simulate_estimates` reads the same
     cached values, so it stays bit-identical to a loop of this function; the
     engine's kernel matches it in distribution only.  No detector object is
-    built: `authenticate` takes the scenario's enrolled fingerprint and
-    variance directly and derives its threshold from that variance and
-    target_pfa with `design_threshold` on every call."""
+    built: `authenticate` takes the estimate and the scenario's enrolled
+    fingerprint, and derives its threshold from the estimate's own error
+    variance and target_pfa with `design_threshold` on every call."""
     challenge = SignalFrame.all_ones(scenario.n_train)
     response = exchange(challenge, link, scenario.tx, scenario.noise, rng)
     estimate = ls_estimate(challenge, response, scenario.tx, scenario.noise)
-    return estimate, authenticate(estimate, scenario.ground_truth,
-                                  scenario.est_variance, target_pfa)
+    return estimate, authenticate(estimate, scenario.ground_truth, target_pfa)
 
 
 def simulate_estimates(
@@ -337,7 +327,7 @@ def empirical_rejection_counts(
     if h_idx is None:
         raise ParameterError(f"hypothesis must be 'h0' or 'h1', got {hypothesis!r}")
 
-    scenario = scenario_for(config)
+    scenario = config.scenario
     link = scenario.link_for(h_idx)
     thresholds = np.array(
         [design_threshold(p, scenario.est_variance) for p in config.pfa_grid]

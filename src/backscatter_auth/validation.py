@@ -133,6 +133,8 @@ class ValidationReport:
 # below this, results sit in double precision's denormal territory and keep
 # absolute accuracy only; relative checks skip such reference values
 _MARCUM_REF_FLOOR = 1e-290
+# the worst relative error either Marcum side may show against its oracle
+_MARCUM_TOL = 1e-10
 
 
 def _worst_marcum_error(fn, oracle, rows) -> tuple[float, tuple[float, float], float]:
@@ -171,9 +173,7 @@ def _domain_band(above: bool, past: float) -> list[tuple[float, list[float]]]:
     return [(a, bs) for a, bs in rows if bs]
 
 
-def check_marcum_vs_quadrature(
-    step: float = 0.25, tol: float = 1e-10, wide_step: float | None = None,
-) -> CheckResult:
+def check_marcum_vs_quadrature(step: float = 0.25, wide_step: float | None = None) -> CheckResult:
     """Worst relative error of marcum_q1 against the quadrature oracle on
     the grid a, b in {0, step, ..., 10}, plus, with ``wide_step``, the
     sparse grid {0, wide_step, ..., 50} outside that square, plus the
@@ -191,14 +191,14 @@ def check_marcum_vs_quadrature(
     )
     return CheckResult(
         name="marcum_q1 vs defining-integral quadrature",
-        passed=worst <= tol,
+        passed=worst <= _MARCUM_TOL,
         observed=worst,
-        limit=tol,
+        limit=_MARCUM_TOL,
         detail=f"worst at (a,b)={worst_at} over {sum(len(bs) for _, bs in rows)} points",
     )
 
 
-def check_marcum_complement_vs_quadrature(step: float = 1.0, tol: float = 1e-10) -> CheckResult:
+def check_marcum_complement_vs_quadrature(step: float = 1.0) -> CheckResult:
     """Worst relative error of marcum_q1c against the quadrature of the
     Rice density over [0, b], on a, b in {0, step, ..., 40} and the summed
     domain's band past 40 where 1 - Q1 is the summed side; with b < a the
@@ -208,9 +208,9 @@ def check_marcum_complement_vs_quadrature(step: float = 1.0, tol: float = 1e-10)
     worst, worst_at, smallest = _worst_marcum_error(special.marcum_q1c, marcum_q1c_oracle, rows)
     return CheckResult(
         name="marcum_q1c vs lower-tail quadrature",
-        passed=worst <= tol,
+        passed=worst <= _MARCUM_TOL,
         observed=worst,
-        limit=tol,
+        limit=_MARCUM_TOL,
         detail=f"worst at (a,b)={worst_at}, smallest reference {smallest:.1e}",
     )
 
@@ -242,21 +242,24 @@ def check_false_alarm_grid(trials: int = 100_000, seed: int = 20240) -> CheckRes
     )
 
 
-def _missed_detection_deviation(
-    trials: int, seed: int, pmd_fn, mu_grid=(0.25, 0.5, 1.0, 2.0),
-    sinr_db: float = 5.0, target_pfa: float = 0.1,
-) -> tuple[float, str]:
-    """Worst |empirical - analytic| missed-detection gap in stderr units,
-    with the analytic side supplied by ``pmd_fn(mu, threshold, est_variance)``."""
+# the missed-detection grid: attacker distances at 5 dB, one training
+# symbol, a threshold designed for a false-alarm rate of 0.1
+_PMD_MUS, _PMD_SINR_DB, _PMD_TARGET_PFA = (0.25, 0.5, 1.0, 2.0), 5.0, 0.1
+
+
+def _missed_detection_deviation(trials: int, seed: int, pmd_fn) -> tuple[float, str]:
+    """Worst |empirical - analytic| missed-detection gap in stderr units on
+    the missed-detection grid, with the analytic side supplied by
+    ``pmd_fn(mu, threshold, est_variance)``."""
     worst_sigma = 0.0
     worst_at = ""
-    for mu in mu_grid:
+    for mu in _PMD_MUS:
         cfg = experiments.ExperimentConfig(
-            sinr_db=sinr_db, n_train=1, mu_mag=mu,
-            pfa_grid=(target_pfa,), trials=trials, seed=seed,
+            sinr_db=_PMD_SINR_DB, n_train=1, mu_mag=mu,
+            pfa_grid=(_PMD_TARGET_PFA,), trials=trials, seed=seed,
         )
         accept_rate = 1.0 - experiments.empirical_rejection_rates(cfg, hypothesis="h1")[0]
-        delta = detection.design_threshold(target_pfa, cfg.est_variance)
+        delta = detection.design_threshold(_PMD_TARGET_PFA, cfg.est_variance)
         pmd = pmd_fn(mu, delta, cfg.est_variance)
         stderr = math.sqrt(max(pmd * (1.0 - pmd), 1e-12) / trials)
         n_sigma = abs(accept_rate - pmd) / stderr

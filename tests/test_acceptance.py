@@ -21,7 +21,6 @@ from backscatter_auth.experiments import (
     empirical_rejection_counts,
     roc_analytic,
     roc_empirical,
-    scenario_for,
     simulate_statistics,
     sweep_attacker,
 )
@@ -182,7 +181,7 @@ def test_criterion_9_reproducibility(tmp_path):
     cfg = ExperimentConfig(sinr_db=5.0, n_train=8, mu_mag=0.1,
                            pfa_grid=(0.05, 0.2, 0.5), trials=SHARD_TRIALS * 3 + 17,
                            seed=11_010)
-    scenario = scenario_for(cfg)
+    scenario = cfg.scenario
     thresholds = np.array([design_threshold(p, scenario.est_variance)
                            for p in cfg.pfa_grid])
     shard_sum = sum(

@@ -201,6 +201,20 @@ class TestSweepCommand:
         assert "--mu-list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mu", ["-1.0", "nan", "inf"])
+    def test_distance_out_of_range_is_usage_error_before_the_run(self, tmp_path, capsys, mu):
+        cfg = _write(tmp_path, ROC_CONFIG)
+        done, fresh = tmp_path / "done", tmp_path / "fresh"
+        assert main(["sweep", "--config", cfg, "--out", str(done), "--mu-list", "1.0"]) == EXIT_OK
+        capsys.readouterr()
+        for out in (done, fresh):
+            assert main(["sweep", "--config", cfg, "--out", str(out),
+                         f"--mu-list={mu}"]) == EXIT_ERROR
+            assert "--mu-list" in capsys.readouterr().err
+        # the finished run keeps its manifest, and no new directory is made
+        assert (done / "manifest.json").exists()
+        assert not fresh.exists()
+
     def test_order_independent_contents(self, tmp_path):
         cfg = _write(tmp_path, ROC_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -228,26 +228,20 @@ class TestAuthenticate:
 
     def test_exact_match_accepts(self):
         est = FingerprintEstimate(value=1 + 0j, error_variance=0.04)
-        decision = authenticate(est, self.GROUND_TRUTH, self.VARIANCE, self.TARGET)
+        decision = authenticate(est, self.GROUND_TRUTH, self.TARGET)
         assert decision.statistic == 0.0
         assert decision.accepted
 
     def test_tie_rejects(self):
         threshold = design_threshold(self.TARGET, self.VARIANCE)
         est = FingerprintEstimate(value=complex(threshold, 0.0), error_variance=0.04)
-        decision = authenticate(est, 0j, self.VARIANCE, self.TARGET)
+        decision = authenticate(est, 0j, self.TARGET)
         assert decision.statistic == threshold
         assert not decision.accepted
 
-    def test_variance_mismatch_warns_but_decides(self):
-        est = FingerprintEstimate(value=1 + 0j, error_variance=0.9)
-        with pytest.warns(UserWarning):
-            decision = authenticate(est, self.GROUND_TRUTH, self.VARIANCE, self.TARGET)
-        assert decision.accepted
-
     def test_threshold_recomputed_from_target(self):
         est = FingerprintEstimate(value=1 + 0j, error_variance=0.25)
-        decision = authenticate(est, self.GROUND_TRUTH, 0.25, 0.05)
+        decision = authenticate(est, self.GROUND_TRUTH, 0.05)
         assert decision.threshold_used == design_threshold(0.05, 0.25)
         assert decision.threshold_used == pytest.approx(
             math.sqrt(-math.log(0.05) * 0.25), rel=1e-15)
@@ -258,7 +252,7 @@ class TestAuthenticate:
             # twice in a row: a rejected target raises on every call
             for _ in range(2):
                 with pytest.raises(ParameterError):
-                    authenticate(est, self.GROUND_TRUTH, self.VARIANCE, target)
+                    authenticate(est, self.GROUND_TRUTH, target)
 
     def test_decision_fields(self):
         decision = AuthDecision(statistic=0.5, accepted=False, threshold_used=0.3)

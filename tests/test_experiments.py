@@ -32,7 +32,6 @@ from backscatter_auth.experiments import (
     roc_analytic,
     roc_empirical,
     run_trial,
-    scenario_for,
     simulate_estimates,
     simulate_statistics,
     sweep_attacker,
@@ -41,8 +40,20 @@ from backscatter_auth.rng import RngHandle
 from backscatter_auth.signaling import LinkNoiseParams, TxParams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ROC_DEMO = SRC.parent / "configs" / "roc_demo.cfg"
 GRID_50 = tuple(float(p) for p in np.linspace(0.01, 0.99, 50))
 EPISODES_DIGEST = "f52d86510ac453bfe5e9b1d661eb901a294c5987e01452334eb5940b41ba4570"
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports the package
+    from this checkout."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _config(**kw):
@@ -56,9 +67,9 @@ class TestExperimentConfig:
     def test_est_variance_formula(self):
         cfg = _config(sinr_db=5.0, n_train=8)
         assert cfg.est_variance == pytest.approx(1.0 / (10**0.5 * 8), rel=1e-14)
-        # the analytic curves and the engine read one value, to the last bit
+        # the config's variance is its canonical scenario's, to the last bit
         cfg = _config(sinr_db=7.3, n_train=1)
-        assert cfg.est_variance == scenario_for(cfg).est_variance
+        assert cfg.est_variance == canonical_scenario(7.3, 1, cfg.mu_mag).est_variance
 
     def test_raw_parameter_reduction(self):
         cfg = ExperimentConfig.from_raw(
@@ -137,7 +148,7 @@ class TestScenario:
 class TestEngineEquivalence:
     def test_frame_path_matches_per_trial_pipeline_bitwise(self):
         cfg = _config(trials=2048, n_train=8)
-        scenario = scenario_for(cfg)
+        scenario = cfg.scenario
         for link in (scenario.legit_link, scenario.attack_link):
             estimates = simulate_estimates(scenario, link, cfg.trials, RngHandle(5, (1,)))
             batched = fingerprint_distance(estimates, scenario.ground_truth)
@@ -185,7 +196,7 @@ class TestEngineEquivalence:
         # the stream layout: one interleaved (re, im) pair per trial, so the
         # handle advances the same whatever the training length
         trials = 1000
-        scenario = scenario_for(_config(n_train=n_train))
+        scenario = _config(n_train=n_train).scenario
         rng = RngHandle(5, (1,))
         simulate_statistics(scenario, scenario.attack_link, trials, rng)
         fresh = RngHandle(5, (1,))
@@ -214,7 +225,7 @@ class TestEngineEquivalence:
         # each shard draws from its own spawned stream, so the engine's
         # counts are the sum of shard counts computed one by one
         cfg = _config(trials=SHARD_TRIALS * 3 + 17)
-        scenario = scenario_for(cfg)
+        scenario = cfg.scenario
         thresholds = np.array([design_threshold(p, scenario.est_variance)
                                for p in cfg.pfa_grid])
         expected = np.zeros(len(cfg.pfa_grid), dtype=np.int64)
@@ -226,14 +237,9 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(empirical_rejection_counts(cfg, "h1"), expected)
 
     def test_engine_runs_on_the_calling_thread_and_imports_no_pool(self, monkeypatch):
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, backscatter_auth.cli; print('concurrent.futures' in sys.modules)"],
-            capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        out = _fresh_python(
+            "import sys, backscatter_auth.cli; print('concurrent.futures' in sys.modules)")
+        assert out.strip() == "False"
 
         seen = []
         simulate = experiments.simulate_statistics
@@ -248,11 +254,30 @@ class TestEngineEquivalence:
         assert seen == [caller] * 4
         assert threading.active_count() == caller[1]
 
+    def test_engine_runs_the_configs_own_scenario(self, monkeypatch):
+        cfg = _config(trials=100)
+        expected = empirical_rejection_counts(cfg, "h1")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine built a scenario of its own")
+
+        monkeypatch.setattr(experiments, "build_scenario", refuse)
+        np.testing.assert_array_equal(empirical_rejection_counts(cfg, "h1"), expected)
+
+    def test_sweep_loads_no_random_module(self, tmp_path):
+        # an analytic run draws nothing, so it never needs numpy.random
+        out = _fresh_python(
+            "import sys; from backscatter_auth.cli import main; "
+            f"code = main(['sweep', '--config', {str(ROC_DEMO)!r}, '--mu-list', '0.5,2.0', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.random' in sys.modules)")
+        assert out.splitlines()[-1] == "0 False"
+
     def test_statistic_on_a_threshold_rejects(self, monkeypatch):
         # continuous draws never tie, so the tie rule is checked on
         # statistics placed exactly on the thresholds
         cfg = _config(trials=3)
-        scenario = scenario_for(cfg)
+        scenario = cfg.scenario
         on_thresholds = [design_threshold(p, scenario.est_variance) for p in cfg.pfa_grid]
         monkeypatch.setattr(experiments, "simulate_statistics",
                             lambda *args: np.array(on_thresholds))
