@@ -192,6 +192,8 @@ def _cmd_auth(args) -> int:
     doc = load_config(args.config)
     responder = doc.get_choice("experiment", "responder", ("ltag", "mtag"))
     n_train = doc.get_int("experiment", "n_train")
+    if n_train < 1:
+        raise doc.error("experiment", "n_train", f"must be >= 1, got {n_train}")
     seed = args.seed if args.seed is not None else doc.get_int("experiment", "seed")
     target_pfa = doc.get_float("detector", "target_pfa")
     tx, noise = signaling_params(doc)

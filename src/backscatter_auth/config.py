@@ -2,7 +2,8 @@
 
 Flat INI-style sections, one per module: [device], [signaling], [detector],
 [experiment].  All physical quantities are linear except sinr_db.  Unknown
-sections or keys are hard errors so typos cannot silently change a run.
+sections (configparser's [DEFAULT] among them) or keys are hard errors so
+typos cannot silently change a run.  A ";" after whitespace starts a comment.
 Complex values use Python literal syntax ("1+0.5j"); bare reals are fine.
 
 pfa_grid accepts either an explicit comma list ("0.01,0.05,0.1") or
@@ -35,7 +36,9 @@ KNOWN_KEYS: dict[str, set[str]] = {
     },
 }
 
-_SECTION_HEADER = re.compile(r"\s*\[(?P<name>.+)\]")  # configparser's header form
+# configparser's header form, up to the first "]": no known section name
+# holds one, and a ";" comment after the header may
+_SECTION_HEADER = re.compile(r"\s*\[(?P<name>[^]]+)\]")
 
 
 @dataclass
@@ -129,7 +132,11 @@ class ConfigDocument:
 
 def load_config(path: str | Path) -> ConfigDocument:
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the section "" ([] is not a header), so [DEFAULT]
+    # is a section like any other, and an unknown one; ";" starts an inline
+    # comment, as no value the format accepts contains it
+    parser = configparser.ConfigParser(interpolation=None, default_section="",
+                                       inline_comment_prefixes=(";",))
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:

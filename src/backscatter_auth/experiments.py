@@ -229,8 +229,10 @@ def build_scenario(reader: DeviceModel, legit_tag: DeviceModel,
                    noise: LinkNoiseParams, n_train: int) -> Scenario:
     """Link both tags to the reader over unit fixed propagation, so the
     residuals carry only the device fingerprints; the estimation-error
-    variance is that of the unit-modulus challenge of length n_train.  Fixed
-    channels draw nothing, so the links take no random stream."""
+    variance is that of the unit-modulus challenge of length n_train, whose
+    energy is n_train (the frame itself is not built, so a scenario's memory
+    does not grow with n_train).  Fixed channels draw nothing, so the links
+    take no random stream."""
     unit = FixedChannel(1 + 0j)
     return Scenario(
         reader=reader,
@@ -241,8 +243,7 @@ def build_scenario(reader: DeviceModel, legit_tag: DeviceModel,
         tx=tx,
         noise=noise,
         n_train=int(n_train),
-        est_variance=estimation_error_variance(
-            tx, noise, SignalFrame.all_ones(n_train).energy),
+        est_variance=estimation_error_variance(tx, noise, float(n_train)),
     )
 
 

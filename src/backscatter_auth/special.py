@@ -64,6 +64,13 @@ Design notes
     most ``_BLOCK_ELEMENTS`` per array, each block once: inside the domain
     every row stops within its window (~1900 steps at the widest).  On the
     detector's 800-point strong-attacker sweep this is one call, not 800.
+    Only the smaller side is summed, so theta_p <= theta_c in every row
+    (squaring is monotone in floating point): the cdf seed at m_lo < theta_c
+    is a left tail, and theta_p is 0.0 only for a nonzero a or b below about
+    2.2e-162.  No walk reaches its fence, peak + 12 sqrt(peak + 1) + 20: p is
+    past its mode there, and on the summed domain log Pois(ceil(fence);
+    theta_c) - log 1e-290 >= 52.7 (worst at theta_c = 745.1, theta_p -> 0),
+    so q is not re-seeded there either; only the accumulates stop a row.
 
 The defining-integral quadrature oracle used to certify these routines
 lives in ``backscatter_auth.validation``, deliberately not here.
@@ -104,26 +111,10 @@ def _pois_pmf(k: int, theta: float) -> float:
 
 
 def _pois_cdf(m: int, theta: float) -> float:
-    """P[Pois(theta) <= m], relatively accurate even deep in the left tail."""
-    if m < 0:
-        return 0.0
+    """P[Pois(theta) <= m] summed downward from m: relatively accurate deep in
+    the left tail, where the kernel's m < theta keeps it (module notes)."""
     if theta == 0.0:
         return 1.0
-    if m >= theta:
-        # complement of the upper tail; the tail is summed forward with
-        # decaying terms and is <= ~0.5 here, so the subtraction is benign
-        j = m + 1
-        term = _pois_pmf(j, theta)
-        tail = 0.0
-        while term > 0.0:
-            tail += term
-            j += 1
-            term *= theta / j
-            if term <= tail * _REL_EPS:
-                tail += term
-                break
-        return 1.0 - tail
-    # left tail: descend from m, terms decay by a factor j/theta < 1
     term = _pois_pmf(m, theta)
     total = 0.0
     j = m
@@ -155,25 +146,22 @@ def _checked_grid(values, name: str) -> np.ndarray:
     return x
 
 
-def _walk_from_seed(theta_p: float, theta_c: float, shift: int, m: int, fence: float,
-                    p: float, q: float, cdf: float) -> tuple[bool, int, float, float, float, float]:
-    """The mixture loop of one row in ``math`` from its seeds at m, walked
-    while a recurrence step re-seeds from logs (a rising flank below
-    _PMF_RESEED_FLOOR).  Returns (stopped, m, p, q, cdf, total): the row's sum
-    if it stopped, else the state at the last m, after which neither
-    recurrence ever re-seeds (on a rising flank the products only grow)."""
+def _walk_from_seed(theta_p: float, theta_c: float, shift: int, m: int,
+                    p: float, q: float, cdf: float) -> tuple[int, float, float, float, float]:
+    """The mixture loop of one row in ``math`` from its seeds at m while a step
+    re-seeds from logs (a rising flank below _PMF_RESEED_FLOOR).  Returns the
+    state (m, p, q, cdf, total) at the last m, past which neither recurrence
+    re-seeds, as the products only grow; it never reaches the fence."""
     total = 0.0
     while True:
         total += p * cdf
-        if m >= fence and p * cdf <= total * _REL_EPS:
-            return True, m, p, q, cdf, total
         k = m + 1
         p_next = p * (theta_p / (k + shift))
         q_next = q * (theta_c / k)
         p_low = p_next < _PMF_RESEED_FLOOR and k + shift < theta_p
         q_low = q_next < _PMF_RESEED_FLOOR and k < theta_c
         if not (p_low or q_low):
-            return False, m, p, q, cdf, total
+            return m, p, q, cdf, total
         m = k
         p = _pois_pmf(k + shift, theta_p) if p_low else p_next
         q = _pois_pmf(k, theta_c) if q_low else q_next
@@ -212,14 +200,11 @@ def _mixture_sums(theta_p: np.ndarray, theta_c: np.ndarray, shift: np.ndarray) -
     shift=0 with (a^2/2, b^2/2) is Q1(a,b); shift=1 with the roles swapped
     is 1 - Q1(a,b).  Each row is the loop of the module notes, summed over a
     window from m_lo that stops at the first m >= fence whose term is below
-    total * _REL_EPS.  Requires theta_p > 0.
+    total * _REL_EPS.  Requires theta_p <= theta_c; theta_p may be 0.0.
     """
     peak = np.maximum(theta_p, np.sqrt(theta_p * theta_c))
     m_lo = np.maximum(0.0, np.trunc(peak - 10.0 * np.sqrt(peak + 1.0) - 20.0))
-    fence = np.maximum(
-        theta_p + 12.0 * np.sqrt(theta_p + 1.0),
-        peak + 12.0 * np.sqrt(peak + 1.0),
-    ) + 20.0
+    fence = peak + 12.0 * np.sqrt(peak + 1.0) + 20.0
 
     # log-space seeds at m_lo, per row in math
     tp, tc, m = theta_p.tolist(), theta_c.tolist(), m_lo.astype(np.int64).tolist()
@@ -233,30 +218,24 @@ def _mixture_sums(theta_p: np.ndarray, theta_c: np.ndarray, shift: np.ndarray) -
     k = m_lo + 1.0
     reseeds = ((p * (theta_p / (k + shift)) < _PMF_RESEED_FLOOR) & (k + shift < theta_p)) | (
         (q * (theta_c / k) < _PMF_RESEED_FLOOR) & (k < theta_c))
-    stopped = np.zeros(theta_p.size, dtype=bool)
     for i in np.flatnonzero(reseeds).tolist():
-        walk = _walk_from_seed(tp[i], tc[i], int(shift[i]), m[i], float(fence[i]),
-                               *state[i, 1:4].tolist())
-        stopped[i] = walk[0]
-        state[i] = walk[1:]
-    sums = state[:, 4].copy()
+        state[i] = _walk_from_seed(tp[i], tc[i], int(shift[i]), m[i], *state[i, 1:4].tolist())
 
     # blocks of rows of similar window width, at most _BLOCK_ELEMENTS per array;
     # the summed domain's widest window (~1900 steps) fits in one block
-    left = np.flatnonzero(~stopped)
-    need = np.maximum(np.ceil(fence[left] - state[left, 0]), 1.0)
-    left = left[np.argsort(need, kind="stable")]
-    need = np.sort(need)
+    need = np.ceil(fence - state[:, 0])  # >= 1: every state's m is below its fence
+    left = np.argsort(need, kind="stable")
+    need = need[left]
     lo = 0
     while lo < left.size:
         hi = lo + 1
         while hi < left.size and (hi + 1 - lo) * need[hi] <= _BLOCK_ELEMENTS:
             hi += 1
         rows = left[lo:hi]
-        sums[rows] = _finish_rows(state[rows], theta_p[rows], theta_c[rows], shift[rows],
-                                  fence[rows], int(need[hi - 1]))
+        state[rows, 4] = _finish_rows(state[rows], theta_p[rows], theta_c[rows], shift[rows],
+                                      fence[rows], int(need[hi - 1]))
         lo = hi
-    return sums
+    return state[:, 4]
 
 
 def marcum_q1_grid(a, b, side: int) -> np.ndarray:

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import os
+import runpy
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from backscatter_auth import cli
+from backscatter_auth import __version__, cli
 from backscatter_auth.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, build_parser, main
 from backscatter_auth.config import load_config
 from backscatter_auth.experiments import ExperimentConfig
@@ -138,6 +140,12 @@ class TestRocCommand:
         blocker = tmp_path / "blocked"
         blocker.write_text("a regular file where the output dir should be")
         assert main(["roc", "--config", cfg, "--out", str(blocker / "sub")]) == EXIT_ERROR
+
+    def test_neither_sinr_nor_signaling_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, ROC_CONFIG.replace("sinr_db = 5.0\n", ""))
+        assert main(["roc", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_ERROR
+        assert "need either [experiment] sinr_db or a [signaling] section" in \
+            capsys.readouterr().err
 
     def test_raw_signaling_reduction(self, tmp_path):
         # no sinr_db: the run must reduce the raw physical parameters and
@@ -324,6 +332,29 @@ class TestManifest:
         assert manifest["config_digest"] == expected.digest()
 
 
+class TestReadmeConfig:
+    """The README's "Config format" example, read verbatim, loads and runs."""
+
+    @pytest.fixture
+    def readme_cfg(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config format", 1)[1]
+        return _write(tmp_path, section.split("```ini\n", 1)[1].split("```", 1)[0])
+
+    def test_roc_with_trials_override(self, tmp_path, readme_cfg):
+        out = tmp_path / "out"
+        assert main(["roc", "--config", readme_cfg, "--trials", "100", "--out", str(out)]) == EXIT_OK
+        assert len(_rows(out / "roc_empirical.csv")) == 50
+        doc = load_config(readme_cfg)
+        run = ExperimentConfig(sinr_db=5.0, n_train=8, mu_mag=1.0, pfa_grid=doc.get_pfa_grid(),
+                               trials=100, seed=42)
+        assert json.loads((out / "manifest.json").read_text())["config_digest"] == run.digest()
+
+    def test_auth(self, readme_cfg, capsys):
+        assert main(["auth", "--config", readme_cfg]) in (EXIT_OK, EXIT_REJECT)
+        assert "decision:" in capsys.readouterr().out
+
+
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "roc_demo.cfg"
 STRONG_ATTACKER_CONFIG = """\
 [experiment]
@@ -435,6 +466,11 @@ class TestAuthCommand:
                        if not line.startswith("mtag_"))
         assert main(["auth", "--config", _write(tmp_path, text)]) == EXIT_OK
 
+    def test_no_training_symbols_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, AUTH_CONFIG.replace("n_train = 16", "n_train = 0"))
+        assert main(["auth", "--config", cfg]) == EXIT_ERROR
+        assert "[experiment] n_train (line 20): must be >= 1, got 0" in capsys.readouterr().err
+
     def test_missing_responder_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, AUTH_CONFIG.replace("responder = ltag\n", ""))
         assert main(["auth", "--config", cfg]) == EXIT_ERROR
@@ -459,6 +495,14 @@ class TestAuthCommand:
 
 
 class TestParser:
+    def test_module_entry_point_prints_version(self, monkeypatch, capsys):
+        # what `python -m backscatter_auth --version` runs
+        monkeypatch.setattr(sys, "argv", ["backscatter_auth", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("backscatter_auth", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"backscatter-auth {__version__}\n"
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_ERROR
 

@@ -1,5 +1,7 @@
 """Config file parsing: schema enforcement and diagnostics."""
 
+import re
+
 import pytest
 
 from backscatter_auth.config import device_from, load_config, signaling_params
@@ -90,6 +92,55 @@ class TestLoadConfig:
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match=r"\[plotting\]"):
             load_config(_write(tmp_path, FULL_CONFIG + "\n[plotting]\nstyle = dark\n"))
+
+    @pytest.mark.parametrize("text", [
+        # a DEFAULT key beside the section's own
+        "[DEFAULT]\nseed = 5\n\n[experiment]\nseed = 3\n",
+        # every [experiment] key under DEFAULT, the section itself empty
+        "[DEFAULT]" + FULL_CONFIG.split("[experiment]")[1] + "\n[experiment]\n",
+        # an unknown DEFAULT key, once reported against [experiment]
+        "[DEFAULT]\nfoo = 1\n\n" + FULL_CONFIG,
+    ], ids=["beside-own-key", "all-experiment-keys", "unknown-key"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser merges [DEFAULT] into every section; here it is an
+        # unknown section like any other
+        with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]"):
+            load_config(_write(tmp_path, text))
+
+    def test_syntax_error_reported(self, tmp_path):
+        # a key with no value; configparser's error, prefixed with the path
+        with pytest.raises(ConfigurationError, match=r"scenario\.cfg: Source contains parsing errors"):
+            load_config(_write(tmp_path, "[experiment]\nseed\n"))
+
+    def test_inline_comments_stripped(self, tmp_path):
+        text = FULL_CONFIG.replace("n_train = 8", "n_train = 8   ; training symbols")
+        text = text.replace("[experiment]", "[experiment]  ; see [1]")
+        doc = load_config(_write(tmp_path, text.replace("mu_mag = 1.0", "mu_mag = x ; [2]")))
+        assert doc.get_int("experiment", "n_train") == 8
+        with pytest.raises(ConfigurationError, match=r"mu_mag \(line 22\): not a number: 'x'"):
+            doc.get_float("experiment", "mu_mag")
+
+    @pytest.mark.parametrize("old,new,read,message", [
+        ("sinr_db = 5.0", "sinr_db = inf", lambda doc: doc.get_float("experiment", "sinr_db"),
+         "[experiment] sinr_db (line 20): must be finite"),
+        ("reader_h_tx = 1.1+0.2j", "reader_h_tx = 1.1+j0.2",
+         lambda doc: doc.get_complex("device", "reader_h_tx"),
+         "[device] reader_h_tx (line 2): not a complex number"),
+        ("responder = ltag", "responder = xtag",
+         lambda doc: doc.get_choice("experiment", "responder", ("ltag", "mtag")),
+         "[experiment] responder (line 26): must be one of"),
+        ("pfa_grid = 0.01,0.05,0.1", "pfa_grid = linspace:0.1:0.9:x", lambda doc: doc.get_pfa_grid(),
+         "[experiment] pfa_grid (line 23): bad linspace arguments"),
+        ("pfa_grid = 0.01,0.05,0.1", "pfa_grid = linspace:0.1:0.9:0", lambda doc: doc.get_pfa_grid(),
+         "[experiment] pfa_grid (line 23): linspace count must be >= 1"),
+        ("pfa_grid = 0.01,0.05,0.1", "pfa_grid = 0.01,five", lambda doc: doc.get_pfa_grid(),
+         "[experiment] pfa_grid (line 23): not a comma list"),
+    ], ids=["non-finite", "not-complex", "not-a-choice", "linspace-arguments",
+            "linspace-count", "comma-list"])
+    def test_bad_value_names_field_and_line(self, tmp_path, old, new, read, message):
+        doc = load_config(_write(tmp_path, FULL_CONFIG.replace(old, new)))
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            read(doc)
 
     def test_missing_key_reported(self, tmp_path):
         doc = load_config(_write(tmp_path, "[experiment]\nseed = 1\n"))

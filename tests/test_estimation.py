@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from backscatter_auth.errors import ShapeError
-from backscatter_auth.estimation import effective_training, ls_estimate
+from backscatter_auth.errors import ParameterError, ShapeError
+from backscatter_auth.estimation import (
+    effective_training,
+    estimation_error_variance,
+    ls_estimate,
+)
 from backscatter_auth.experiments import canonical_scenario, simulate_estimates
 from backscatter_auth.rng import RngHandle
 from backscatter_auth.signaling import (
@@ -64,6 +68,10 @@ class TestLsEstimate:
             est = ls_estimate(x, y, tx, noise)
             sinr = tx.eta**2 * tx.p_r / noise.total_variance
             assert est.error_variance == pytest.approx(1.0 / (sinr * x.energy), rel=1e-12)
+
+    def test_zero_energy_challenge_rejected(self):
+        with pytest.raises(ParameterError, match="challenge energy must be > 0"):
+            estimation_error_variance(TxParams(1.0, 1.0), LinkNoiseParams(sigma2_r=1.0), 0.0)
 
     def test_length_mismatch_rejected(self):
         x = SignalFrame.all_ones(4)

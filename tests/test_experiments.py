@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -94,6 +95,23 @@ class TestExperimentConfig:
                 TxParams(p_r=1.0, eta=eta), LinkNoiseParams(sigma2_r=1.0),
                 n_train=8, mu_mag=1.0, pfa_grid=(0.1,), trials=1, seed=0)
 
+    def test_raw_zero_noise_rejected(self):
+        with pytest.raises(ConfigurationError, match="total noise variance must be > 0"):
+            ExperimentConfig.from_raw(
+                TxParams(p_r=1.0, eta=1.0), LinkNoiseParams(),
+                n_train=8, mu_mag=1.0, pfa_grid=(0.1,), trials=1, seed=0)
+
+    def test_memory_does_not_grow_with_n_train(self):
+        # the challenge energy is n_train itself: no frame of that length
+        # is built, copied or cached
+        tracemalloc.start()
+        try:
+            _config(n_train=10**6, trials=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("grid", [(), (0.0, 0.5), (0.5, 0.5), (0.3, 0.2), (0.5, 1.0)])
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ConfigurationError):
@@ -102,6 +120,8 @@ class TestExperimentConfig:
     def test_bad_scalars_rejected(self):
         with pytest.raises(ConfigurationError):
             _config(n_train=0)
+        with pytest.raises(ConfigurationError, match="sinr_db must be finite"):
+            _config(sinr_db=math.nan)
         with pytest.raises(ConfigurationError):
             _config(mu_mag=-1.0)
         with pytest.raises(ConfigurationError):

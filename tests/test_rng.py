@@ -125,6 +125,13 @@ class TestValidation:
         with pytest.raises(ParameterError):
             sample_complex_normal(RngHandle(0), 0j, math.nan)
 
+    @pytest.mark.parametrize("mean", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ParameterError, match="mean must be finite"):
+            sample_complex_normal(RngHandle(0), mean, 1.0)
+        with pytest.raises(ParameterError, match="mean must be finite"):
+            sample_complex_normal_array(RngHandle(0), mean, 1.0, 4)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ParameterError):

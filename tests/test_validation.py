@@ -118,9 +118,10 @@ class TestBattery:
         monkeypatch.setattr(validation, "_domain_band", lambda above, past: [])
 
     def test_marcum_check_coarse(self, squares_only):
-        result = check_marcum_vs_quadrature(step=2.0)
-        assert result.passed
-        assert result.observed <= 1e-12
+        for wide_step in (None, 10.0):  # with the sparse grid out to 50 as well
+            result = check_marcum_vs_quadrature(step=2.0, wide_step=wide_step)
+            assert result.passed
+            assert result.observed <= 1e-12
 
     def test_complement_check_coarse(self, squares_only):
         result = check_marcum_complement_vs_quadrature(step=5.0)

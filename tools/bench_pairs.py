@@ -15,8 +15,10 @@ per-layer split.
 
 The result file holds every run's end-to-end metrics, a per-metric summary
 (median and quartiles per side, pairs in which the change was lower, the
-median change in percent and the gap between the medians over the parent's
-interquartile range) and the versions the runs reported.  It is rewritten
+median change in percent, the gap between the medians over the parent's
+interquartile range and, for each metric BENCHMARK.json gates, a verdict:
+better, unresolved, worse or unchanged, see ``verdict``) and the versions
+the runs reported.  It is rewritten
 after every run, so an interrupted measurement keeps its finished pairs.
 """
 
@@ -94,7 +96,36 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], names: list[str]) -> dict:
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """The reading of one lower-is-better metric over the pairs
+    (parent[i], change[i]) with the worsening ``bound`` that BENCHMARK.json
+    fixes for it, a fraction of the parent's median.  Checked in order:
+
+    better      the change is lower in at least 9/10 of the pairs (ties
+                count for neither), and its median is lower than the
+                parent's by more than the parent's interquartile range;
+    unresolved  the parent's interquartile range exceeds bound times its
+                median, and not every change run is lower than every
+                parent run;
+    worse       the change's median exceeds the parent's by more than bound;
+    unchanged   none of these.
+    """
+    side_p, side_c = quartiles(parent), quartiles(change)
+    iqr = side_p["q3"] - side_p["q1"]
+    lower = sum(c < p for p, c in zip(parent, change))
+    if 10 * lower >= 9 * len(parent) and side_p["median"] - side_c["median"] > iqr:
+        return "better"
+    if iqr > bound * side_p["median"] and not max(change) < min(parent):
+        return "unresolved"
+    if side_c["median"] > (1.0 + bound) * side_p["median"]:
+        return "worse"
+    return "unchanged"
+
+
+def summarize(pairs: list[dict], names: list[str], bounds: dict[str, float]) -> dict:
+    """Per metric in ``names``: each side's quartiles, the pairs in which the
+    change was lower and the median gap, plus a ``verdict`` for each metric
+    that ``bounds`` gates."""
     summary = {}
     for name in names:
         parent = [p["parent"][name] for p in pairs]
@@ -111,6 +142,8 @@ def summarize(pairs: list[dict], names: list[str]) -> dict:
             "median_change_pct": 100.0 * (side_c["median"] / side_p["median"] - 1.0),
             "median_gap_over_parent_iqr": gap / iqr if iqr > 0 else None,
         }
+        if name in bounds:
+            summary[name]["verdict"] = verdict(parent, change, bounds[name])
     summary["failed"] = {
         "parent": sum(p["parent"]["failed"] for p in pairs),
         "change": sum(p["change"]["failed"] for p in pairs),
@@ -125,7 +158,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
-    gated = [m["name"] for m in spec["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     traced_seeds = [int(s) for s in args.traced_seeds.split(",") if s]
     work = ROOT / ".bench_build" / "pairs"
     trees = {"parent": work / "parent", "change": work / "change"}
@@ -171,7 +204,8 @@ def main(argv=None) -> int:
                 pair[side] = measured(side, workload, args.seed, 0)
             pairs.append(pair)
             extra = ["op_p50_ms"] + (["episode_p50_us"] if "episode_p50_us" in pair["parent"] else [])
-            entry.update(pairs_complete=len(pairs), summary=summarize(pairs, gated + extra))
+            entry.update(pairs_complete=len(pairs),
+                         summary=summarize(pairs, [*bounds, *extra], bounds))
             save()
             p90 = {side: pair[side]["op_p90_ms"] for side in ("parent", "change")}
             print(f"{workload} pair {i}: op_p90_ms parent {p90['parent']:.2f} "
