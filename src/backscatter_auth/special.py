@@ -112,7 +112,7 @@ def _pois_pmf(k: int, theta: float) -> float:
 
 def _pois_cdf(m: int, theta: float) -> float:
     """P[Pois(theta) <= m] summed downward from m: relatively accurate deep in
-    the left tail, where the kernel's m < theta keeps it (module notes)."""
+    the left tail, where the kernel keeps m < theta if theta > 0 (module notes)."""
     if theta == 0.0:
         return 1.0
     term = _pois_pmf(m, theta)
