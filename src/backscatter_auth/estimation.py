@@ -1,9 +1,10 @@
 """Least-squares extraction of the residual-channel fingerprint.
 
-The response model is y = h_res * (eta sqrt(p_r) x) + w, so the scalar LS
+The response model is y = h_res * (eta sqrt(p_r) x) + w, so the LS
 estimate is the projection of y onto the effective training signal.  The
 estimator is unbiased with complex error variance
-total_noise_variance / (eta^2 p_r ||x||^2).
+total_noise_variance / (eta^2 p_r ||x||^2).  ``ls_estimate`` is the one
+projection, for one episode's response or a batch of them alike.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ def effective_training(challenge: SignalFrame, tx: TxParams) -> tuple[np.ndarray
     """Conjugated training signal as seen through the forward gain, and its
     energy: the LS projection is sum(conj(x_eff) * y) / energy.
 
-    Computed once per (challenge, tx) and returned write-protected.  Shared
-    by the scalar estimator and the batched full-frame path
-    (``experiments.simulate_estimates``) so the two stay arithmetically
-    identical.
+    Computed once per (challenge, tx) and returned write-protected.
     """
     x_eff = (tx.eta * math.sqrt(tx.p_r)) * challenge.symbols
     energy = float(np.sum(x_eff.real**2 + x_eff.imag**2))
@@ -50,25 +48,13 @@ def estimation_error_variance(tx: TxParams, noise: LinkNoiseParams, challenge_en
     return noise.total_variance / (tx.eta**2 * tx.p_r * challenge_energy)
 
 
-def ls_estimate(
-    challenge: SignalFrame,
-    response: SignalFrame,
-    tx: TxParams,
-    noise: LinkNoiseParams,
-) -> FingerprintEstimate:
-    """Scalar least-squares fingerprint estimate from one frame pair.
-
-    The challenge's conjugated effective training, its energy and the error
-    variance's frame energy are computed once per (challenge, tx); only the
-    projection of the response runs per call.
-    """
-    x = challenge.symbols
-    y = response.symbols
-    if x.size != y.size:
-        raise ShapeError(f"frame length mismatch: challenge {x.size}, response {y.size}")
+def ls_estimate(challenge: SignalFrame, responses: np.ndarray, tx: TxParams) -> np.ndarray:
+    """Least-squares fingerprint estimates of the responses to one
+    challenge, projected along their last axis.  That axis must have the
+    challenge's length: a last axis of 1 is refused, not broadcast against
+    a longer challenge."""
     x_conj, energy = effective_training(challenge, tx)
-    value = complex((x_conj * y).sum() / energy)
-    return FingerprintEstimate(
-        value=value,
-        error_variance=estimation_error_variance(tx, noise, challenge.energy),
-    )
+    if responses.shape[-1:] != x_conj.shape:
+        raise ShapeError(f"responses of shape {responses.shape} do not end in the "
+                         f"challenge length {x_conj.size}")
+    return (x_conj * responses).sum(axis=-1) / energy

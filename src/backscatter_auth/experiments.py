@@ -13,13 +13,15 @@ propagation, enrolled fingerprint equal to the legitimate link's realized
 residual.  That scenario's estimation-error variance is the one value
 behind a run's analytic curves, its thresholds and the engine's draws.
 
-The engine draws the sufficient statistic, not the frame: for any
-training frame the LS estimate is ``h_res + e`` with ``e ~ CN(0, v)`` and
-``v`` the closed-form estimation-error variance, so each trial costs one
-complex normal whatever ``n_train`` is.  The per-trial pipeline
-(``run_trial``) and its batched twin ``simulate_estimates`` are the
-reference; ``validate`` certifies the kernel against them by distribution,
-not bit for bit.
+There is one frame path: ``simulate_estimates`` draws the responses to
+``trials`` exchanges of the all-ones challenge (``signaling.exchange``) and
+projects them (``estimation.ls_estimate``), and an authentication episode
+(``run_trial``) is its one-trial case.  The engine draws the sufficient
+statistic instead of the frame: for any training frame the LS estimate is
+``h_res + e`` with ``e ~ CN(0, v)`` and ``v`` the closed-form
+estimation-error variance, so each trial costs one complex normal whatever
+``n_train`` is.  ``validate`` certifies the kernel against the frame path
+by distribution, not bit for bit.
 
 Trials are split into fixed-size shards, each drawing from its own
 deterministically derived random stream, and run in order on the calling
@@ -51,9 +53,9 @@ from .detection import (
     fingerprint_distance,
 )
 from .errors import ConfigurationError, ParameterError
-from .estimation import effective_training, estimation_error_variance, ls_estimate
+from .estimation import FingerprintEstimate, estimation_error_variance, ls_estimate
 from .rng import RngHandle, sample_complex_normal_array
-from .signaling import LinkNoiseParams, SignalFrame, TxParams, exchange, response_gain
+from .signaling import LinkNoiseParams, SignalFrame, TxParams, exchange
 
 SHARD_TRIALS = 16384
 
@@ -264,39 +266,25 @@ def canonical_scenario(sinr_db: float, n_train: int, mu_mag: float) -> Scenario:
 
 def run_trial(scenario: Scenario, link: LinkRealization, target_pfa: float,
               rng: RngHandle):
-    """One full challenge-response-estimate-decide episode: the reference
-    per-trial path.  The challenge's invariants (the shared all-ones frame,
-    its energy and its effective training) are computed once per
-    (n_train, tx), not per episode, and `simulate_estimates` reads the same
-    cached values, so it stays bit-identical to a loop of this function; the
-    engine's kernel matches it in distribution only.  No detector object is
-    built: `authenticate` takes the estimate and the scenario's enrolled
-    fingerprint, and derives its threshold from the estimate's own error
-    variance and target_pfa with `design_threshold` on every call."""
-    challenge = SignalFrame.all_ones(scenario.n_train)
-    response = exchange(challenge, link, scenario.tx, scenario.noise, rng)
-    estimate = ls_estimate(challenge, response, scenario.tx, scenario.noise)
+    """One challenge-response-estimate-decide episode: the one-trial case of
+    `simulate_estimates`, its estimate paired with the scenario's error
+    variance.  `authenticate` derives the threshold from that variance and
+    target_pfa, and tests the estimate against the enrolled fingerprint."""
+    estimate = FingerprintEstimate(complex(simulate_estimates(scenario, link, 1, rng)[0]),
+                                   scenario.est_variance)
     return estimate, authenticate(estimate, scenario.ground_truth, target_pfa)
 
 
 def simulate_estimates(
     scenario: Scenario, link: LinkRealization, trials: int, rng: RngHandle
 ) -> np.ndarray:
-    """Batched full-frame LS estimates over `trials` independent exchanges.
-
-    Consumes the random stream exactly like `trials` successive calls of
-    the per-trial pipeline on the same handle, and returns the same values:
-    the oracle the engine's kernel is certified against.
-    """
+    """Full-frame LS estimates over `trials` independent exchanges of the
+    scenario's all-ones challenge: the oracle the engine's kernel is
+    certified against.  Trial t draws as the t-th of `trials` one-trial
+    calls on the same handle would."""
     challenge = SignalFrame.all_ones(scenario.n_train)
-    x = challenge.symbols
-    gain = response_gain(link, scenario.tx)
-    y = sample_complex_normal_array(
-        rng, 0j, scenario.noise.total_variance, (int(trials), x.size)
-    )
-    y += gain * x  # the noise buffer takes the response in place, as in exchange
-    x_conj, energy = effective_training(challenge, scenario.tx)
-    return (x_conj * y).sum(axis=1) / energy
+    responses = exchange(challenge, link, scenario.tx, scenario.noise, rng, trials)
+    return ls_estimate(challenge, responses, scenario.tx)
 
 
 def simulate_statistics(

@@ -7,22 +7,26 @@ All randomness flows through numpy's PCG64 bit generator seeded by
 ``spawn_key``; derived streams extend the key by one integer per level
 (``spawn(i)`` appends ``i``).  The (seed, spawn_key) pair fully determines
 the stream, so shard layouts are reproducible across runs and platforms.
+Output bytes are identical only for one Python, numpy and libm build: the
+analytic path's Poisson seeds and ``detection.design_threshold`` call
+libm's ``exp``, ``log`` and ``lgamma``, and numpy's normal sampler calls
+libm in its rare tail branch; libms need not round alike.
 
 Complex draws consume the underlying generator as standard normals shaped
 ``(..., 2)``, real and imaginary parts interleaved per element.  Because
-numpy fills arrays in C order, a batched ``(trials, n, 2)`` draw consumes
-the stream exactly like ``trials`` successive ``(n, 2)`` draws, so the
-batched full-frame path is bit-identical to a loop of per-trial episodes.
-The array sampler reads that interleaved buffer in place as complex128
-(same memory layout) and applies the scale and the mean in place, so a draw
-allocates one array; the values equal ``mean + s*(re + 1j*im)`` bit for bit.
-The same fill order lets ``channel.make_link`` draw a link whose two
-propagation gains both fade with one ``standard_normal(4)``: the forward
-pair, then the reverse pair, exactly the normals of two successive scalar
-draws.
+numpy fills arrays in C order, a ``(trials, n, 2)`` draw consumes the
+stream exactly like ``trials`` successive ``(n, 2)`` draws: that is why a
+one-trial call of the frame path continues a seeded stream as one row of a
+batch would.  The array sampler reads that interleaved buffer in place as
+complex128 (same memory layout) and applies the scale and the mean in
+place, so a draw allocates one array; the values equal
+``mean + s*(re + 1j*im)`` bit for bit.  The same fill order lets
+``channel.make_link`` draw a link whose two propagation gains both fade
+with one ``standard_normal(4)``: the forward pair, then the reverse pair,
+exactly the normals of two successive scalar draws.
 The Monte Carlo engine draws one complex estimate per trial instead of the
-frame, so it consumes two standard normals per trial and matches the
-per-trial pipeline in distribution, not bit for bit.
+frame, so it consumes two standard normals per trial and matches the frame
+path in distribution, not bit for bit.
 
 A handle is single-owner: never share one across concurrent callers, give
 each worker its own ``spawn``.

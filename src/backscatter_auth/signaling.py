@@ -5,11 +5,13 @@ it, and the reader receives the response corrupted by its own thermal
 noise plus the self-interference of both full-duplex ends.  ``exchange``
 applies the consolidated single-noise form; ``exchange_expanded`` walks
 the hop-by-hop path (tag reception, amplification, reader reception) and
-exists to demonstrate the two are statistically identical.
+exists to demonstrate the two are statistically identical.  Each returns
+``trials`` independent responses to one challenge, one per array row.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -111,8 +113,12 @@ class TxParams:
 
 
 def response_gain(link: LinkRealization, tx: TxParams) -> complex:
-    """End-to-end complex gain of the consolidated response path."""
-    return math.sqrt(tx.p_r) * tx.eta * link.h_res
+    """End-to-end complex gain of the consolidated response path, refused
+    when it overflows."""
+    gain = math.sqrt(tx.p_r) * tx.eta * link.h_res
+    if not cmath.isfinite(gain):
+        raise ParameterError(f"response gain {gain!r} is not finite")
+    return gain
 
 
 def exchange(
@@ -121,13 +127,16 @@ def exchange(
     tx: TxParams,
     noise: LinkNoiseParams,
     rng: RngHandle,
-) -> SignalFrame:
-    """Consolidated response: y[n] = sqrt(p_r) * eta * h_res * x[n] + w[n],
-    with w i.i.d. CN(0, total noise variance)."""
+    trials: int,
+) -> np.ndarray:
+    """Consolidated responses: y[t, n] = sqrt(p_r) * eta * h_res * x[n] + w[t, n],
+    with w i.i.d. CN(0, total noise variance).  The rows fill in C order, so
+    row t takes the stream's draws exactly as the t-th of `trials`
+    successive one-row exchanges on the same handle would."""
     x = challenge.symbols
-    y = sample_complex_normal_array(rng, 0j, noise.total_variance, x.size)
+    y = sample_complex_normal_array(rng, 0j, noise.total_variance, (trials, x.size))
     y += response_gain(link, tx) * x
-    return SignalFrame(y)
+    return y
 
 
 def exchange_expanded(
@@ -136,8 +145,9 @@ def exchange_expanded(
     tx: TxParams,
     noise: LinkNoiseParams,
     rng: RngHandle,
-) -> SignalFrame:
-    """Hop-by-hop response path.
+    trials: int,
+) -> np.ndarray:
+    """Hop-by-hop responses, shaped as ``exchange``'s.
 
     The tag receives the challenge plus its self-interference (no thermal
     noise at the passive tag), amplifies by eta, and backscatters; the
@@ -147,12 +157,13 @@ def exchange_expanded(
     the reader-side term carries sigma2_si_t, reproducing the aggregate
     variance of ``exchange`` regardless of |h_rt|.
     """
+    response_gain(link, tx)  # refuses a link whose end-to-end gain overflows
     x = challenge.symbols
-    n = x.size
+    shape = (trials, x.size)
 
-    z_t = sample_complex_normal_array(rng, 0j, 1.0, n)
-    z_r = sample_complex_normal_array(rng, 0j, 1.0, n)
-    n_r = sample_complex_normal_array(rng, 0j, noise.sigma2_r, n)
+    z_t = sample_complex_normal_array(rng, 0j, 1.0, shape)
+    z_r = sample_complex_normal_array(rng, 0j, 1.0, shape)
+    n_r = sample_complex_normal_array(rng, 0j, noise.sigma2_r, shape)
 
     amp_gain = tx.eta * link.h_rt
     if noise.sigma2_si_r > 0.0:
@@ -164,5 +175,4 @@ def exchange_expanded(
     c_r = math.sqrt(noise.sigma2_si_t)
 
     y_tag = math.sqrt(tx.p_r) * x * link.h_tr + c_t * z_t
-    y_reader = amp_gain * y_tag + c_r * z_r + n_r
-    return SignalFrame(y_reader)
+    return amp_gain * y_tag + c_r * z_r + n_r

@@ -51,7 +51,8 @@ Design notes
     stop at the first m >= fence with term <= total * 1e-17, advance p and
     q by one recurrence step, cdf = min(1, cdf + q)".  Its seeds
     (``_pois_pmf``/``_pois_cdf``: exp, log, lgamma) run per row in
-    ``math``, since numpy's exp and log need not round as libm's do.  A
+    ``math``, since numpy's exp and log need not round as libm's do; so the
+    analytic outputs' bits hold for one libm build (see ``rng``).  A
     row whose first step re-seeds below 1e-290 (tested with numpy's IEEE
     * / <, the loop's own bits) walks the short prefix of such steps in
     ``math``.  Past that prefix no step re-seeds again, and the rest of the

@@ -87,8 +87,8 @@ def test_criterion_4_ls_estimator_statistics():
     truth = scenario.legit_link.h_res
     noiseless = LinkNoiseParams(0.0, 0.0, 0.0)
     x = SignalFrame.all_ones(8)
-    y = exchange(x, scenario.legit_link, scenario.tx, noiseless, RngHandle(0))
-    exact = ls_estimate(x, y, scenario.tx, noiseless).value
+    y = exchange(x, scenario.legit_link, scenario.tx, noiseless, RngHandle(0), 1)
+    exact = ls_estimate(x, y, scenario.tx)[0]
     recovery_err = abs(exact - truth) / abs(truth)
     _report(4, "LS estimator statistics", result.passed and recovery_err <= 1e-12,
             f"{result.line()}; noiseless recovery {recovery_err:.1e} (limit 1e-12)")

@@ -29,28 +29,24 @@ class TestLsEstimate:
         link = LinkRealization(h_tr=1.3 - 0.7j, h_rt=0.6 + 0.8j)
         tx = TxParams(p_r=2.0, eta=1.5)
         x = SignalFrame(np.array([1.0, 1.0j, -0.5 + 0.25j, 2.0 + 0j]))
-        y = exchange(x, link, tx, NOISELESS, RngHandle(0))
-        est = ls_estimate(x, y, tx, NOISELESS)
-        assert est.value == pytest.approx(link.h_res, rel=1e-12)
+        y = exchange(x, link, tx, NOISELESS, RngHandle(0), 1)
+        est = ls_estimate(x, y, tx)
+        assert est.shape == (1,)
+        assert est[0] == pytest.approx(link.h_res, rel=1e-12)
 
     def test_error_variance_all_ones(self):
         # eta = 1, p_r = 1, total noise 1 -> variance 1/N
         for n in (1, 4, 16):
-            x = SignalFrame.all_ones(n)
-            y = exchange(x, LinkRealization(h_tr=1 + 0j, h_rt=1 + 0j),
-                         TxParams(1.0, 1.0), LinkNoiseParams(sigma2_r=1.0), RngHandle(1))
-            est = ls_estimate(x, y, TxParams(1.0, 1.0), LinkNoiseParams(sigma2_r=1.0))
-            assert est.error_variance == pytest.approx(1.0 / n, rel=1e-14)
+            v = estimation_error_variance(TxParams(1.0, 1.0), LinkNoiseParams(sigma2_r=1.0),
+                                          SignalFrame.all_ones(n).energy)
+            assert v == pytest.approx(1.0 / n, rel=1e-14)
 
     def test_doubling_training_halves_variance(self):
         tx = TxParams(p_r=2.0, eta=3.0)
         noise = LinkNoiseParams(sigma2_r=0.7, sigma2_si_r=0.2, sigma2_si_t=0.1)
-        link = LinkRealization(h_tr=1 + 0j, h_rt=1 + 0j)
 
         def variance(n):
-            x = SignalFrame.all_ones(n)
-            y = exchange(x, link, tx, noise, RngHandle(2))
-            return ls_estimate(x, y, tx, noise).error_variance
+            return estimation_error_variance(tx, noise, SignalFrame.all_ones(n).energy)
 
         assert variance(16) == pytest.approx(variance(8) / 2.0, rel=1e-14)
 
@@ -61,13 +57,11 @@ class TestLsEstimate:
             (TxParams(4.0, 0.5), LinkNoiseParams(sigma2_r=0.2, sigma2_si_r=0.3), 3),
             (TxParams(0.25, 10.0), LinkNoiseParams(sigma2_si_t=2.0), 12),
         ]
-        link = LinkRealization(h_tr=1 + 0j, h_rt=1 + 0j)
         for tx, noise, n in cases:
             x = SignalFrame.all_ones(n)
-            y = exchange(x, link, tx, noise, RngHandle(3))
-            est = ls_estimate(x, y, tx, noise)
             sinr = tx.eta**2 * tx.p_r / noise.total_variance
-            assert est.error_variance == pytest.approx(1.0 / (sinr * x.energy), rel=1e-12)
+            assert estimation_error_variance(tx, noise, x.energy) == pytest.approx(
+                1.0 / (sinr * x.energy), rel=1e-12)
 
     def test_zero_energy_challenge_rejected(self):
         with pytest.raises(ParameterError, match="challenge energy must be > 0"):
@@ -75,9 +69,17 @@ class TestLsEstimate:
 
     def test_length_mismatch_rejected(self):
         x = SignalFrame.all_ones(4)
-        y = SignalFrame.all_ones(5)
+        for shape in ((5,), (2, 5), (4, 1, 3)):
+            with pytest.raises(ShapeError, match="challenge length 4"):
+                ls_estimate(x, np.ones(shape, dtype=complex), TxParams(1.0, 1.0))
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 1), ()], ids=["1-D", "2-D", "0-d"])
+    def test_unit_last_axis_not_broadcast(self, shape):
+        # numpy would broadcast a last axis of 1 (or a 0-d array) against
+        # the training and return an estimate
         with pytest.raises(ShapeError):
-            ls_estimate(x, y, TxParams(1.0, 1.0), NOISELESS)
+            ls_estimate(SignalFrame.all_ones(4), np.ones(shape, dtype=complex),
+                        TxParams(1.0, 1.0))
 
     def test_non_training_challenge_supported(self):
         # arbitrary (non unit-modulus) training sequences are fine
@@ -85,9 +87,8 @@ class TestLsEstimate:
         x = SignalFrame(np.array([2.0 + 1.0j, -0.3 + 0.4j, 1.5 - 2.0j]))
         link = LinkRealization(h_tr=0.5 + 0.5j, h_rt=1.0 - 0.25j)
         tx = TxParams(p_r=1.7, eta=0.9)
-        y = exchange(x, link, tx, NOISELESS, rng)
-        est = ls_estimate(x, y, tx, NOISELESS)
-        assert est.value == pytest.approx(link.h_res, rel=1e-12)
+        y = exchange(x, link, tx, NOISELESS, rng, 2)
+        np.testing.assert_allclose(ls_estimate(x, y, tx), link.h_res, rtol=1e-12)
 
 
 class TestChallengeInvariantsCache:
@@ -99,12 +100,10 @@ class TestChallengeInvariantsCache:
         link = LinkRealization(h_tr=1.3 - 0.7j, h_rt=0.6 + 0.8j)
         rng = RngHandle(8)
         for tx in (TxParams(2.0, 1.5), TxParams(0.5, 2.0), TxParams(2.0, 1.5)):
-            y = exchange(x, link, tx, noise, rng)
-            est = ls_estimate(x, y, tx, noise)
+            y = exchange(x, link, tx, noise, rng, 1)
             x_eff = (tx.eta * math.sqrt(tx.p_r)) * x.symbols
             energy = float(np.sum(x_eff.real**2 + x_eff.imag**2))
-            assert est.value == complex(np.sum(np.conj(x_eff) * y.symbols) / energy)
-            assert est.error_variance == noise.total_variance / (tx.eta**2 * tx.p_r * x.energy)
+            assert ls_estimate(x, y, tx)[0] == complex(np.sum(np.conj(x_eff) * y[0]) / energy)
 
     def test_cached_training_is_write_protected(self):
         x_conj, _ = effective_training(SignalFrame.all_ones(4), TxParams(1.0, 2.0))

@@ -44,6 +44,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ROC_DEMO = SRC.parent / "configs" / "roc_demo.cfg"
 GRID_50 = tuple(float(p) for p in np.linspace(0.01, 0.99, 50))
 EPISODES_DIGEST = "f52d86510ac453bfe5e9b1d661eb901a294c5987e01452334eb5940b41ba4570"
+# 200 episodes at each of n_train 8, 64 and 1000, frozen from the scalar
+# per-episode exchange and projection that the one frame path replaced
+LONG_EPISODES_DIGEST = "d140791717f8577423f729f22d3e898939ef1321535852c300c1948fd7c1a5c7"
 
 
 def _fresh_python(code: str) -> str:
@@ -210,6 +213,28 @@ class TestEngineEquivalence:
                     estimate.error_variance, decision.statistic, decision.accepted,
                     decision.threshold_used))
         assert digest.hexdigest() == EPISODES_DIGEST
+
+    def test_seeded_long_frame_episodes_pinned(self):
+        # the same episode loop at longer frames, where the projection sums
+        # 8 to 1000 terms per response
+        reader = DeviceModel(1 + 0j, 1 + 0j)
+        ltag = DeviceModel(0.9 + 0.2j, 1.1 - 0.1j)
+        mtag = DeviceModel(1.2 - 0.3j, 0.8 + 0.4j)
+        fading = RayleighFadingChannel(1.0)
+        digest = hashlib.sha256()
+        for n_train in (8, 64, 1000):
+            base = canonical_scenario(sinr_db=5.0, n_train=n_train, mu_mag=0.5)
+            rng = RngHandle(7, (n_train,))
+            for j in range(200):
+                legit = make_link(reader, ltag, fading, fading, rng)
+                link = make_link(reader, mtag, fading, fading, rng) if j % 2 else legit
+                scenario = replace(base, legit_link=legit, attack_link=link)
+                estimate, decision = run_trial(scenario, link, 0.05, rng)
+                digest.update(struct.pack(
+                    "<4d?d", estimate.value.real, estimate.value.imag,
+                    estimate.error_variance, decision.statistic, decision.accepted,
+                    decision.threshold_used))
+        assert digest.hexdigest() == LONG_EPISODES_DIGEST
 
     @pytest.mark.parametrize("n_train", [1, 64])
     def test_kernel_draws_two_normals_per_trial(self, n_train):

@@ -117,21 +117,22 @@ class TestParams:
 class TestExchange:
     def test_noiseless_identity_link(self):
         x = SignalFrame(np.array([1.0, 1.0j, -1.0]))
-        y = exchange(x, UNIT_LINK, UNIT_TX, NOISELESS, RngHandle(0))
-        np.testing.assert_array_equal(y.symbols, x.symbols)
+        y = exchange(x, UNIT_LINK, UNIT_TX, NOISELESS, RngHandle(0), 1)
+        np.testing.assert_array_equal(y, [x.symbols])
 
     def test_noiseless_gain_stackup(self):
         link = LinkRealization(h_tr=2 + 0j, h_rt=1 + 0j)
         tx = TxParams(p_r=4.0, eta=2.0)
-        y = exchange(SignalFrame(np.array([1.0 + 0j])), link, tx, NOISELESS, RngHandle(0))
-        assert y.symbols[0] == 8 + 0j
+        y = exchange(SignalFrame(np.array([1.0 + 0j])), link, tx, NOISELESS, RngHandle(0), 1)
+        assert y[0, 0] == 8 + 0j
 
     def test_noise_moments(self):
+        # 25,000 responses of 4 symbols: the noise of every row and column
         n = 100_000
         noise = LinkNoiseParams(sigma2_r=1.0)
-        x = SignalFrame.all_ones(n)
-        y = exchange(x, UNIT_LINK, UNIT_TX, noise, RngHandle(77))
-        residual = y.symbols - response_gain(UNIT_LINK, UNIT_TX) * x.symbols
+        x = SignalFrame.all_ones(4)
+        y = exchange(x, UNIT_LINK, UNIT_TX, noise, RngHandle(77), n // 4)
+        residual = y - response_gain(UNIT_LINK, UNIT_TX) * x.symbols
         assert float(np.var(residual.real)) == pytest.approx(0.5, rel=0.02)
         assert float(np.var(residual.imag)) == pytest.approx(0.5, rel=0.02)
 
@@ -141,55 +142,52 @@ class TestExchange:
         scaled = SignalFrame(alpha * x.symbols)
         link = LinkRealization(h_tr=1.1 + 0.3j, h_rt=0.7 - 0.2j)
         tx = TxParams(p_r=2.0, eta=0.5)
-        y1 = exchange(x, link, tx, NOISELESS, RngHandle(0)).symbols
-        y2 = exchange(scaled, link, tx, NOISELESS, RngHandle(0)).symbols
+        y1 = exchange(x, link, tx, NOISELESS, RngHandle(0), 1)
+        y2 = exchange(scaled, link, tx, NOISELESS, RngHandle(0), 1)
         np.testing.assert_allclose(y2, alpha * y1, rtol=1e-12)
 
     def test_energy_accounting_noiseless(self):
         x = SignalFrame(np.array([1.0, 1.0j, 2.0 - 1.0j]))
         link = LinkRealization(h_tr=1.2 + 0.5j, h_rt=0.4 - 0.9j)
         tx = TxParams(p_r=3.0, eta=1.5)
-        y = exchange(x, link, tx, NOISELESS, RngHandle(0))
+        y = exchange(x, link, tx, NOISELESS, RngHandle(0), 1)
         expected = tx.p_r * tx.eta**2 * abs(link.h_res) ** 2 * x.energy
-        assert y.energy == pytest.approx(expected, rel=1e-12)
+        assert float(np.vdot(y, y).real) == pytest.approx(expected, rel=1e-12)
 
     def test_output_length_matches_input(self):
         y = exchange(SignalFrame.all_ones(17), UNIT_LINK, UNIT_TX,
-                     LinkNoiseParams(sigma2_r=1.0), RngHandle(0))
-        assert len(y) == 17
+                     LinkNoiseParams(sigma2_r=1.0), RngHandle(0), 3)
+        assert y.shape == (3, 17)
 
     @pytest.mark.parametrize("n", [1, 16])
-    def test_response_frame_is_locked_and_private(self, n):
-        # the response frame is locked, shares no memory with any array the
-        # caller holds, and carries the bits of a frame built from the draw
+    def test_rows_continue_the_stream(self, n):
+        # row t of a batch carries the bits of the t-th of successive
+        # one-row exchanges on one handle, and of the draw that makes it;
+        # the responses share no memory with the challenge
         challenge = SignalFrame.all_ones(n)
         link = LinkRealization(h_tr=1.1 + 0.3j, h_rt=0.7 - 0.2j)
         tx = TxParams(p_r=2.0, eta=0.5)
         noise = LinkNoiseParams(sigma2_r=0.5, sigma2_si_r=0.25, sigma2_si_t=0.25)
-        frame = exchange(challenge, link, tx, noise, RngHandle(404))
+        batch = exchange(challenge, link, tx, noise, RngHandle(404), 3)
+        assert not np.shares_memory(batch, challenge.symbols)
 
-        assert not frame.symbols.flags.writeable
-        with pytest.raises(ValueError):
-            frame.symbols.setflags(write=True)
-        with pytest.raises(ValueError):
-            frame.symbols[0] = 0j
-        assert not np.shares_memory(frame.symbols, challenge.symbols)
-        other = exchange(challenge, link, tx, noise, RngHandle(404))
-        assert not np.shares_memory(frame.symbols, other.symbols)
+        rng = RngHandle(404)
+        rows = np.concatenate([exchange(challenge, link, tx, noise, rng, 1) for _ in range(3)])
+        np.testing.assert_array_equal(batch.view(np.uint64), rows.view(np.uint64))
 
-        y = sample_complex_normal_array(RngHandle(404), 0j, noise.total_variance, n)
+        y = sample_complex_normal_array(RngHandle(404), 0j, noise.total_variance, (3, n))
         y += response_gain(link, tx) * challenge.symbols
-        copied = SignalFrame(y.copy())
-        np.testing.assert_array_equal(frame.symbols.view(np.uint64),
-                                      copied.symbols.view(np.uint64))
-        assert frame.energy == copied.energy
+        np.testing.assert_array_equal(batch.view(np.uint64), y.view(np.uint64))
 
     def test_non_finite_response_rejected(self):
-        # |h_res| overflows, so the drawn response is not finite
+        # |h_res| overflows, so the response gain is not finite
         link = LinkRealization(h_tr=1e200 + 0j, h_rt=1e200 + 0j)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="response gain"):
             exchange(SignalFrame.all_ones(4), link, UNIT_TX, LinkNoiseParams(sigma2_r=1.0),
-                     RngHandle(0))
+                     RngHandle(0), 1)
+        with pytest.raises(ParameterError, match="response gain"):
+            exchange_expanded(SignalFrame.all_ones(4), link, UNIT_TX,
+                              LinkNoiseParams(sigma2_r=1.0), RngHandle(0), 1)
 
 
 class TestExchangeExpanded:
@@ -197,11 +195,11 @@ class TestExchangeExpanded:
         x = SignalFrame(np.array([1.0, -1.0j, 0.5 + 0.5j]))
         link = LinkRealization(h_tr=1.3 - 0.4j, h_rt=0.9 + 0.1j)
         tx = TxParams(p_r=2.5, eta=1.2)
-        y_cons = exchange(x, link, tx, NOISELESS, RngHandle(1))
-        y_exp = exchange_expanded(x, link, tx, NOISELESS, RngHandle(2))
+        y_cons = exchange(x, link, tx, NOISELESS, RngHandle(1), 2)
+        y_exp = exchange_expanded(x, link, tx, NOISELESS, RngHandle(2), 2)
         # the hop-by-hop path composes the same gains in a different order,
         # so determinism holds to machine rounding, not bitwise
-        np.testing.assert_allclose(y_exp.symbols, y_cons.symbols, rtol=1e-13)
+        np.testing.assert_allclose(y_exp, y_cons, rtol=1e-13)
 
     def test_distributional_equivalence(self):
         n = 100_000
@@ -209,8 +207,8 @@ class TestExchangeExpanded:
         link = LinkRealization(h_tr=1.0 + 0.2j, h_rt=0.8 - 0.1j)
         tx = TxParams(p_r=1.5, eta=1.1)
         x = SignalFrame.all_ones(n)
-        y1 = exchange(x, link, tx, noise, RngHandle(31)).symbols
-        y2 = exchange_expanded(x, link, tx, noise, RngHandle(32)).symbols
+        y1 = exchange(x, link, tx, noise, RngHandle(31), 1)[0]
+        y2 = exchange_expanded(x, link, tx, noise, RngHandle(32), 1)[0]
 
         total = noise.total_variance
         mean_limit = 4.0 * math.sqrt(2.0) * math.sqrt(total / n)
@@ -226,7 +224,7 @@ class TestExchangeExpanded:
         link = LinkRealization(h_tr=1 + 0j, h_rt=2 + 0j)
         tx = TxParams(p_r=1.0, eta=1.0)
         x = SignalFrame.all_ones(n)
-        y = exchange_expanded(x, link, tx, noise, RngHandle(33)).symbols
+        y = exchange_expanded(x, link, tx, noise, RngHandle(33), 1)[0]
         residual = y - response_gain(link, tx) * x.symbols
         assert float(np.var(residual)) == pytest.approx(noise.total_variance, rel=0.02)
 
@@ -235,4 +233,4 @@ class TestExchangeExpanded:
         link = LinkRealization(h_tr=1 + 0j, h_rt=0j)
         with pytest.raises(ParameterError):
             exchange_expanded(SignalFrame.all_ones(2), link, UNIT_TX,
-                              LinkNoiseParams(sigma2_si_r=0.5), RngHandle(0))
+                              LinkNoiseParams(sigma2_si_r=0.5), RngHandle(0), 1)

@@ -8,6 +8,8 @@ import pytest
 from backscatter_auth import validation
 from backscatter_auth.validation import (
     _frame_reference,
+    check_consolidation_equivalence,
+    check_estimator_statistics,
     check_marcum_complement_vs_quadrature,
     check_marcum_vs_quadrature,
     check_scale_convention_mutation,
@@ -137,6 +139,34 @@ class TestBattery:
         result = check_marcum_complement_vs_quadrature(step=5.0)
         assert not result.passed
         assert result.observed == 1.0
+
+    def test_consolidation_reports_the_failing_variance_gap(self):
+        # the KS statistic passes here (9.55e-3 against 1.63e-2) but the
+        # variance gap of 2.21% fails its 2%: the report names the gap
+        result = check_consolidation_equivalence(n=20_000, seed=1007)
+        assert not result.passed
+        assert result.limit == 0.02
+        assert result.observed == pytest.approx(0.02205, abs=1e-5)
+
+    def test_estimator_reports_the_failing_bias(self, monkeypatch):
+        # a shifted estimator keeps its variance and fails on its bias
+        from backscatter_auth import experiments
+
+        simulate = experiments.simulate_estimates
+        monkeypatch.setattr(experiments, "simulate_estimates",
+                            lambda *args: simulate(*args) + 0.01)
+        result = check_estimator_statistics(trials=20_000, seed=1008)
+        assert not result.passed
+        assert result.observed == pytest.approx(0.01, rel=0.2)
+        assert result.observed > result.limit
+
+    @pytest.mark.parametrize("run_seed", [1004, 1034, 1035, 1042, 1052, 2024])
+    def test_multi_part_checks_report_their_verdict(self, run_seed):
+        # the seeds of validate --fast --seed whose consolidation verdict
+        # once came from a component the report did not show
+        for result in (check_consolidation_equivalence(n=20_000, seed=run_seed + 3),
+                       check_estimator_statistics(trials=20_000, seed=run_seed + 4)):
+            assert result.passed == (result.observed <= result.limit)
 
     def test_mutation_power(self):
         # the deliberately wrong scale convention must be flagged as wrong
