@@ -162,8 +162,8 @@ class TestBattery:
 
     @pytest.mark.parametrize("run_seed", [1004, 1034, 1035, 1042, 1052, 2024])
     def test_multi_part_checks_report_their_verdict(self, run_seed):
-        # the seeds of validate --fast --seed whose consolidation verdict
-        # once came from a component the report did not show
+        # the default seed, and the seeds of validate --fast --seed whose
+        # consolidation verdict once came from a component it did not report
         for result in (check_consolidation_equivalence(n=20_000, seed=run_seed + 3),
                        check_estimator_statistics(trials=20_000, seed=run_seed + 4)):
             assert result.passed == (result.observed <= result.limit)
