@@ -28,6 +28,12 @@ deterministically derived random stream, and run in order on the calling
 thread; shards merge by integer rejection counts, so results depend only on
 the config and the seed.
 
+A config's ``digest`` (the manifest's ``config_digest``) is SHA-256 from
+CPython's standalone ``_sha2``/``_sha256`` module, with ``hashlib`` only as a
+fallback: ``hashlib`` maps OpenSSL's libcrypto, and nothing else that an
+analytic run (``sweep``, ``roc`` without trials) imports needs it, so the
+standalone module keeps libcrypto out of those runs (README "Footprint").
+
 A result is a ``RocCurve``: read-only pfa, pd and stderr columns plus the
 curve's kind (analytic or empirical).  ``sweep_attacker`` computes its
 (distance, pfa) grid of pd in one call and makes each row a curve;
@@ -37,13 +43,20 @@ curve's kind (analytic or empirical).  ``sweep_attacker`` computes its
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # hashlib maps OpenSSL's libcrypto for this one digest
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .channel import DeviceModel, FixedChannel, LinkRealization, make_link
 from .detection import (
@@ -166,7 +179,7 @@ class ExperimentConfig:
             },
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return sha256(payload.encode()).hexdigest()[:16]
 
 
 class RocKind(enum.Enum):
@@ -293,7 +306,7 @@ def simulate_statistics(
     """Test statistics |estimate - ground truth| over `trials` exchanges,
     drawn from the estimate's law CN(h_res, est_variance): one complex
     normal (two standard normals) per trial, whatever n_train is."""
-    est = sample_complex_normal_array(rng, link.h_res, scenario.est_variance, int(trials))
+    est = sample_complex_normal_array(rng, link.h_res, scenario.est_variance, trials)
     return fingerprint_distance(est, scenario.ground_truth)
 
 

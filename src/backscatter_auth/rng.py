@@ -35,6 +35,7 @@ each worker its own ``spawn``.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -49,19 +50,20 @@ class RngHandle:
     __slots__ = ("seed", "spawn_key", "_gen")
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
-        if not (0 <= int(seed) <= _U64_MAX):
+        self.seed = _index(seed, "seed")  # 8.9 is refused, not truncated to 8
+        if not 0 <= self.seed <= _U64_MAX:
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-        self.seed = int(seed)
-        self.spawn_key = tuple(int(k) for k in spawn_key)
+        self.spawn_key = tuple(_index(k, "spawn key") for k in spawn_key)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def spawn(self, index: int) -> "RngHandle":
         """Derive the independent child stream at ``index`` (stateless: same
         (seed, spawn_key, index) always yields the same stream)."""
+        index = _index(index, "spawn index")
         if index < 0:
             raise ParameterError(f"spawn index must be nonnegative, got {index}")
-        return RngHandle(self.seed, self.spawn_key + (int(index),))
+        return RngHandle(self.seed, self.spawn_key + (index,))
 
     @property
     def generator(self) -> np.random.Generator:
@@ -106,7 +108,7 @@ def sample_complex_normal_array(
     mean = complex(mean)
     if not (math.isfinite(mean.real) and math.isfinite(mean.imag)):
         raise ParameterError(f"mean must be finite, got {mean!r}")
-    shape = (size,) if isinstance(size, int) else tuple(size)
+    shape = tuple(size) if isinstance(size, tuple) else (_index(size, "size"),)
     if variance == 0.0:
         return np.full(shape, complex(mean), dtype=np.complex128)
     # a C-order (..., 2) float64 buffer has complex128's memory layout, so
@@ -115,6 +117,15 @@ def sample_complex_normal_array(
     z *= math.sqrt(variance / 2.0)
     z += mean
     return z
+
+
+def _index(value, name: str) -> int:
+    """``value`` as an int, numpy's integers included; a float is refused
+    even when integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_variance(variance: float) -> None:

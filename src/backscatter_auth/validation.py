@@ -311,15 +311,17 @@ def _worst_component(components) -> tuple[float, float]:
 
 def check_consolidation_equivalence(n: int = 100_000, seed: int = 20242) -> CheckResult:
     """Single-draw and expanded-path exchanges must agree in mean (4 stderr),
-    complex variance (2%), and KS statistic on |y| (1% critical value)."""
-    scenario = experiments.canonical_scenario(sinr_db=5.0, n_train=n, mu_mag=0.0)
-    challenge = signaling.SignalFrame.all_ones(n)
+    complex variance (2%), and KS statistic on |y| (1% critical value).
+    The n samples are n responses to a one-symbol challenge, which use the
+    streams as one n-symbol frame would, and cache no n-symbol frame."""
+    scenario = experiments.canonical_scenario(sinr_db=5.0, n_train=1, mu_mag=0.0)
+    challenge = signaling.SignalFrame.all_ones(1)
     y_cons = signaling.exchange(
         challenge, scenario.legit_link, scenario.tx, scenario.noise,
-        RngHandle(seed, (0,)), 1)[0]
+        RngHandle(seed, (0,)), n)[:, 0]
     y_exp = signaling.exchange_expanded(
         challenge, scenario.legit_link, scenario.tx, scenario.noise,
-        RngHandle(seed, (1,)), 1)[0]
+        RngHandle(seed, (1,)), n)[:, 0]
 
     var_total = scenario.noise.total_variance
     mean_gap = abs(np.mean(y_cons) - np.mean(y_exp))

@@ -1,6 +1,9 @@
-"""The A/B tool's per-metric verdict, on synthetic pairs (no benchmark run)."""
+"""The A/B tool's per-metric verdict, on synthetic pairs, and its reading of
+a canned run output (no benchmark run)."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,17 @@ def test_summary_gives_a_verdict_to_gated_metrics_only():
     assert "verdict" not in summary["op_p50_ms"]
     assert summary["failed"] == {"parent": 0, "change": 0,
                                  "attempted_parent": 50, "attempted_change": 50}
+
+
+def test_run_output_without_the_pool_notes_is_read(monkeypatch):
+    # a meta line without threads_env and nproc, the notes of a removed pool
+    meta = {"op_p50_ms": 1.5, "versions": {"backscatter_auth": "0.4.0", "numpy": "2.4.6"}}
+    result = {"correct": True, "attempted": 7, "failed": 0,
+              "metrics": {"op_p90_ms": {"value": 2.0, "unit": "ms"}}}
+    stdout = "perfbench ...\nmeta " + json.dumps(meta) + "\n" + json.dumps(result) + "\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda args, **kw: subprocess.CompletedProcess(args, 0, stdout, ""))
+    record = bench_pairs.run_bench(Path("."), "mc-long-frame", 71, 1.0, 0)
+    assert record["op_p90_ms"] == 2.0 and record["op_p50_ms"] == 1.5
+    assert record["_meta"] == {"versions": meta["versions"], "nproc": None,
+                               "threads_env": None}

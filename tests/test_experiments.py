@@ -154,6 +154,23 @@ class TestExperimentConfig:
         assert _config().digest() == _config().digest()
         assert _config().digest() != _config(seed=100).digest()
 
+    def test_digest_is_the_sha256_of_the_canonical_payload(self):
+        cfg = _config()
+        payload = ('{"mu_mag": 1.0, "n_train": 1, "pfa_grid": [0.05, 0.1, 0.3], '
+                   '"seed": 99, "sinr_db": 5.0, "trials": 4096}')
+        assert cfg.digest() == hashlib.sha256(payload.encode()).hexdigest()[:16]
+        assert cfg.digest() == "84b76107969412c2"
+
+    def test_digest_falls_back_to_hashlib_without_the_standalone_module(self):
+        code = ("import sys\n{block}"
+                "from backscatter_auth.experiments import ExperimentConfig\n"
+                "cfg = ExperimentConfig(sinr_db=5.0, n_train=1, mu_mag=1.0, "
+                "pfa_grid=(0.05, 0.1, 0.3), trials=4096, seed=99)\n"
+                "print(cfg.digest(), '_hashlib' in sys.modules)\n")
+        blocked = "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        assert _fresh_python(code.format(block="")).split() == [_config().digest(), "False"]
+        assert _fresh_python(code.format(block=blocked)).split() == [_config().digest(), "True"]
+
 
 class TestScenario:
     def test_attack_offset_equals_mu(self):
@@ -236,6 +253,15 @@ class TestEngineEquivalence:
                     decision.threshold_used))
         assert digest.hexdigest() == LONG_EPISODES_DIGEST
 
+    def test_kernel_takes_its_trial_count_as_given(self):
+        # 2.5 is refused, not truncated to 2; a numpy integer is a count
+        scenario = _config().scenario
+        with pytest.raises(ParameterError, match="size must be an integer"):
+            simulate_statistics(scenario, scenario.attack_link, 2.5, RngHandle(5))
+        np.testing.assert_array_equal(
+            simulate_statistics(scenario, scenario.attack_link, np.int64(3), RngHandle(5)),
+            simulate_statistics(scenario, scenario.attack_link, 3, RngHandle(5)))
+
     @pytest.mark.parametrize("n_train", [1, 64])
     def test_kernel_draws_two_normals_per_trial(self, n_train):
         # the stream layout: one interleaved (re, im) pair per trial, so the
@@ -309,14 +335,18 @@ class TestEngineEquivalence:
         monkeypatch.setattr(experiments, "build_scenario", refuse)
         np.testing.assert_array_equal(empirical_rejection_counts(cfg, "h1"), expected)
 
-    def test_sweep_loads_no_random_module(self, tmp_path):
-        # an analytic run draws nothing, so it never needs numpy.random
+    def test_analytic_runs_load_neither_random_nor_openssl(self, tmp_path):
+        # an analytic run draws nothing, so it never needs numpy.random, and
+        # its config digest comes from the standalone SHA-256, not hashlib's
+        # OpenSSL binding (_hashlib)
         out = _fresh_python(
             "import sys; from backscatter_auth.cli import main; "
-            f"code = main(['sweep', '--config', {str(ROC_DEMO)!r}, '--mu-list', '0.5,2.0', "
-            f"'--out', {str(tmp_path)!r}]); "
-            "print(code, 'numpy.random' in sys.modules)")
-        assert out.splitlines()[-1] == "0 False"
+            f"codes = (main(['sweep', '--config', {str(ROC_DEMO)!r}, '--mu-list', '0.5,2.0', "
+            f"'--out', {str(tmp_path / 'sweep')!r}]), "
+            f"main(['roc', '--config', {str(ROC_DEMO)!r}, '--trials', '0', "
+            f"'--out', {str(tmp_path / 'roc')!r}])); "
+            "print(*codes, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)")
+        assert out.splitlines()[-1] == "0 0 False False"
 
     def test_statistic_on_a_threshold_rejects(self, monkeypatch):
         # continuous draws never tie, so the tie rule is checked on

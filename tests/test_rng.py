@@ -140,3 +140,31 @@ class TestValidation:
     def test_bad_spawn_index_rejected(self):
         with pytest.raises(ParameterError):
             RngHandle(0).spawn(-1)
+
+    def test_float_seed_rejected_not_truncated(self):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            RngHandle(8.9)
+        with pytest.raises(ParameterError, match="spawn key must be an integer"):
+            RngHandle(8, (1.0,))
+
+    def test_float_spawn_index_rejected_not_truncated(self):
+        with pytest.raises(ParameterError, match="spawn index must be an integer"):
+            RngHandle(8).spawn(2.5)
+
+    def test_numpy_integers_index_like_ints(self):
+        # operator.index: the same streams as Python ints
+        a = RngHandle(np.uint64(8), (np.int64(2),)).spawn(np.int32(3))
+        b = RngHandle(8, (2,)).spawn(3)
+        assert (a.seed, a.spawn_key) == (b.seed, b.spawn_key) == (8, (2, 3))
+        assert all(type(k) is int for k in (a.seed, *a.spawn_key))
+        np.testing.assert_array_equal(a.generator.standard_normal(4),
+                                      b.generator.standard_normal(4))
+
+    def test_numpy_integer_size_is_a_length(self):
+        draws = sample_complex_normal_array(RngHandle(3), 1j, 0.5, np.int64(3))
+        assert draws.shape == (3,)
+        assert draws.tobytes() == sample_complex_normal_array(RngHandle(3), 1j, 0.5, 3).tobytes()
+
+    def test_float_size_rejected(self):
+        with pytest.raises(ParameterError, match="size must be an integer"):
+            sample_complex_normal_array(RngHandle(3), 0j, 1.0, 3.0)

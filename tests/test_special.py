@@ -376,6 +376,55 @@ class TestMarcumGrid:
             marcum_q1_grid(1.0, 1.0, side)
 
 
+# The bound on how far a Marcum output moves, in ulps, when every libm-derived
+# seed carries a one-ulp relative error: analytic outputs on another libm
+# agree with this one's to within it (README "Reproducibility").
+LIBM_ULP_BOUND = 128
+# the detector's reach: a <= 2 sqrt(-2 ln pfa) and b = sqrt(-2 ln pfa) <= 38.6
+# for any double pfa (module notes of special); a half-step of a 155 x 78 grid
+_REACH_A = np.linspace(0.0, 77.2, 78)[:, None]
+_REACH_B = np.linspace(0.0, 38.6, 40)[None, :]
+
+
+def _ulps_apart(x: np.ndarray, y: np.ndarray) -> int:
+    # nonnegative doubles order as their bit patterns
+    return int(np.abs(x.view(np.int64) - y.view(np.int64)).max())
+
+
+@pytest.fixture(scope="module")
+def reach_sides():
+    return [marcum_q1_grid(_REACH_A, _REACH_B, side) for side in (0, 1)]
+
+
+class TestLibmConditioning:
+    """The analytic outputs are well conditioned in their libm-derived seeds
+    (``_pois_pmf``, ``_pois_cdf``: exp, log, lgamma), so a libm that rounds
+    them differently moves both Marcum sides by a bounded number of ulps."""
+
+    @staticmethod
+    def _perturbed_sides(monkeypatch, factor):
+        # _pois_cdf sums from the patched _pois_pmf, so its seed carries the
+        # factor twice: up to two ulps
+        pmf, cdf = special._pois_pmf, special._pois_cdf
+        monkeypatch.setattr(special, "_pois_pmf", lambda k, theta: pmf(k, theta) * factor)
+        monkeypatch.setattr(special, "_pois_cdf", lambda m, theta: cdf(m, theta) * factor)
+        return [marcum_q1_grid(_REACH_A, _REACH_B, side) for side in (0, 1)]
+
+    @pytest.mark.parametrize("factor", [1.0 + 2.0**-52, 1.0 - 2.0**-52, 1.0 - 2.0**-53],
+                             ids=["up_2^-52", "down_2^-52", "down_2^-53"])
+    def test_one_ulp_seeds_move_outputs_by_at_most_the_bound(self, monkeypatch, reach_sides,
+                                                              factor):
+        perturbed = self._perturbed_sides(monkeypatch, factor)
+        for side in (0, 1):
+            assert _ulps_apart(reach_sides[side], perturbed[side]) <= LIBM_ULP_BOUND
+
+    def test_bound_detects_a_coarse_seed_error(self, monkeypatch, reach_sides):
+        # power: a 2^-20 relative error in the seeds exceeds the bound
+        perturbed = self._perturbed_sides(monkeypatch, 1.0 + 2.0**-20)
+        for side in (0, 1):
+            assert _ulps_apart(reach_sides[side], perturbed[side]) > LIBM_ULP_BOUND
+
+
 class TestRiceCdf:
     def test_at_zero(self):
         # Rice(nu=1, sigma=0.5) cdf at 0 is 1 - Q1(nu/sigma, 0/sigma), exactly 0

@@ -148,6 +148,22 @@ class TestBattery:
         assert result.limit == 0.02
         assert result.observed == pytest.approx(0.02205, abs=1e-5)
 
+    def test_consolidation_caches_no_long_frame(self, monkeypatch):
+        # n samples are n responses to a one-symbol challenge, so the
+        # process-wide frame cache keeps one symbol, not an n-symbol frame
+        from backscatter_auth import signaling
+
+        lengths = []
+        all_ones = signaling._all_ones
+
+        def record(n):
+            lengths.append(n)
+            return all_ones(n)
+
+        monkeypatch.setattr(signaling, "_all_ones", record)
+        check_consolidation_equivalence(n=2_000, seed=1007)
+        assert lengths == [1]
+
     def test_estimator_reports_the_failing_bias(self, monkeypatch):
         # a shifted estimator keeps its variance and fails on its bias
         from backscatter_auth import experiments

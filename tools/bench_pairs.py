@@ -87,7 +87,9 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         record["op_p50_ms"] = meta["op_p50_ms"]
         if "episode_us" in meta:
             record["episode_p50_us"] = meta["episode_us"]["p50"]
-    record["_meta"] = {k: meta[k] for k in ("versions", "nproc", "threads_env")}
+    # untimed notes a benchmark may drop read as None
+    record["_meta"] = {"versions": meta["versions"], "nproc": meta.get("nproc"),
+                       "threads_env": meta.get("threads_env")}
     return record
 
 
