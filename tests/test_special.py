@@ -380,8 +380,9 @@ class TestMarcumGrid:
 # seed carries a one-ulp relative error: analytic outputs on another libm
 # agree with this one's to within it (README "Reproducibility").
 LIBM_ULP_BOUND = 128
-# the detector's reach: a <= 2 sqrt(-2 ln pfa) and b = sqrt(-2 ln pfa) <= 38.6
-# for any double pfa (module notes of special); a half-step of a 155 x 78 grid
+# the detector's reach: b = sqrt(-2 ln pfa) <= 38.6 for any double pfa, and a
+# summed point then has a <= 77.2 (module notes of special); the grid is a
+# half-step of a 155 x 78 grid
 _REACH_A = np.linspace(0.0, 77.2, 78)[:, None]
 _REACH_B = np.linspace(0.0, 38.6, 40)[None, :]
 
